@@ -68,7 +68,8 @@ class KnnModel:
     scale: np.ndarray        # (5,) per-feature normalization constants
     features: np.ndarray     # (M, 5) scaled training features
     outputs: np.ndarray      # (M, 4) training outputs u_x, u_y, p_s, nu_t
-    tree: cKDTree
+    starts: np.ndarray       # (S,) first row of each training sample
+    trees: list[cKDTree]     # (S,) per sample, over the spatial features x, y, distance
     weights: str = "idw"     # "idw" or "uniform"
 
 
@@ -96,14 +97,44 @@ def knn_fit(train: Dataset, k: int, weights: str = "idw") -> KnnModel:
     scale = feats.std(axis=0)
     scale[scale == 0.0] = 1.0
     scaled = feats / scale
+    bounds = np.cumsum([0] + [s.n_nodes for s in train.samples])
     return KnnModel(
         k=min(k, len(scaled)),
         scale=scale,
         features=scaled,
         outputs=outs,
-        tree=cKDTree(scaled),
+        starts=bounds[:-1],
+        trees=[cKDTree(scaled[a:b, :3]) for a, b in zip(bounds[:-1], bounds[1:])],
         weights=weights,
     )
+
+
+def _nearest(model: KnnModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and indices of each query row's k nearest training nodes.
+
+    The same as one cKDTree over all five features returns, at a cost that no
+    longer hangs on how far the query's inflow lies from the pool's. A
+    sample's velocity term is the same for all its nodes and bounds their
+    distances from below, so the samples are searched by ascending term, each
+    for its k spatially nearest nodes, until the term exceeds every row's k-th.
+    """
+    n, k = len(q), model.k
+    dv = q[0, 3:] - model.features[model.starts, 3:]  # one inflow per query sample
+    bound = dv[:, 0] * dv[:, 0] + dv[:, 1] * dv[:, 1]
+    best_s, best_i = np.full((n, k), np.inf), np.full((n, k), -1)
+    for j in np.argsort(bound, kind="stable"):
+        rows = np.flatnonzero(bound[j] <= best_s[:, -1])
+        if len(rows) == 0:
+            break
+        _, cand = model.trees[j].query(q[rows, :3], k=min(k, model.trees[j].n))
+        cand = cand.reshape(len(rows), -1) + model.starts[j]
+        d = (q[rows, None, :] - model.features[cand]) ** 2
+        # Summed in cKDTree's order, so the distances agree bit for bit.
+        s = np.hstack([best_s[rows], (((d[..., 0] + d[..., 1]) + d[..., 2]) + d[..., 3]) + d[..., 4]])
+        i = np.hstack([best_i[rows], cand])
+        order = np.lexsort((i, s), axis=1)[:, :k]
+        best_s[rows], best_i[rows] = np.take_along_axis(s, order, 1), np.take_along_axis(i, order, 1)
+    return np.sqrt(best_s), best_i
 
 
 def knn_predict(model: KnnModel, sample: Sample) -> FieldSet:
@@ -114,10 +145,7 @@ def knn_predict(model: KnnModel, sample: Sample) -> FieldSet:
     outputs verbatim (lowest training index on ties).
     """
     q = _node_features(sample) / model.scale
-    dist, idx = model.tree.query(q, k=model.k)
-    if model.k == 1:
-        dist = dist[:, None]
-        idx = idx[:, None]
+    dist, idx = _nearest(model, q)
     # Deterministic tie ordering within each neighbor set.
     order = np.lexsort((idx, dist), axis=1)
     dist = np.take_along_axis(dist, order, axis=1)

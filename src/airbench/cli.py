@@ -2,9 +2,9 @@
 
 Verbs: ``generate`` builds a benchmark directory from a generation config,
 ``evaluate`` runs a predictor and writes raw metrics, ``score`` turns metrics
-into a score report, ``run`` does the whole pipeline and appends to the
-leaderboard, ``leaderboard`` lists recorded entries, ``report`` renders a
-stored score report. Exit codes: 0 success, 2 validation error, 3 predictor
+into a score report, ``run`` is ``evaluate`` + ``score`` + a leaderboard
+append, ``leaderboard`` lists recorded entries, ``report`` renders a stored
+score report. Exit codes: 0 success, 2 validation error, 3 predictor
 failure, 4 rejection.
 """
 
@@ -19,31 +19,25 @@ from pathlib import Path
 
 from .errors import AirbenchError, InferenceError, TrainingError
 from .harness import (
+    STORE_ENV_VAR,
     PredictorSpec,
+    evaluate_benchmark,
     leaderboard_list,
+    read_metrics,
     render_report,
     resolve_store_path,
     run_benchmark,
-    run_inference,
-    run_training,
+    score_metrics,
+    write_metrics,
+    write_score_report,
 )
-from .baselines import resolve_builtin
-from .io import dataset_digest, read_dataset
-from .metrics import SplitMetrics, evaluate_split
-from .scoring import (
-    ML_CRITERIA,
-    OOD_CRITERIA,
-    PHYSICS_CRITERIA,
-    ScoreReport,
-    ScoringConfig,
-    compute_speedup,
-    criterion_values_from_metrics,
-    default_scoring_config,
-    score_from_values,
-)
+from .harness import run_inference  # unused here; perfbench/layers.py patches this name
+from .io import dataset_digest
+from .io import read_dataset  # unused here; perfbench/layers.py patches this name
+from .metrics import evaluate_split  # unused here; perfbench/layers.py patches this name
+from .scoring import ScoreReport, ScoringConfig, default_scoring_config
+from .scoring import score_from_values  # unused here; perfbench/layers.py patches this name
 from .synthflow import GenerationConfig, generate_benchmark
-
-STORE_ENV_VAR_NAME = "AIRBENCH_STORE"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -53,19 +47,14 @@ EXIT_REJECTED = 4
 
 def _predictor_spec(args) -> PredictorSpec:
     name = args.predictor
-    label = args.label or name
-    train_cmd = shlex.split(args.train_cmd) if getattr(args, "train_cmd", None) else None
-    budget = getattr(args, "train_budget", None)
-    if name in ("oracle", "constant") or name.startswith("knn:"):
-        return PredictorSpec(
-            label=label, builtin=name, training_command=train_cmd, training_budget_s=budget
-        )
+    builtin = name in ("oracle", "constant") or name.startswith("knn:")
     return PredictorSpec(
-        label=label,
-        command=shlex.split(name),
-        working_dir=getattr(args, "workdir", None),
-        training_command=train_cmd,
-        training_budget_s=budget,
+        label=args.label or name,
+        builtin=name if builtin else None,
+        command=None if builtin else shlex.split(name),
+        working_dir=None if builtin else getattr(args, "workdir", None),
+        training_command=shlex.split(args.train_cmd) if getattr(args, "train_cmd", None) else None,
+        training_budget_s=getattr(args, "train_budget", None),
     )
 
 
@@ -86,56 +75,23 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    config = _scoring_config(args.config)
-    spec = _predictor_spec(args)
-    bench = Path(args.bench)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    predictor = resolve_builtin(spec.builtin) if spec.builtin else None
-    budget = spec.training_budget_s if spec.training_budget_s is not None else config.training_budget_s
-    outcome = run_training(spec, bench / "train", budget, predictor=predictor)
+    outcome, split_metrics = evaluate_benchmark(
+        _predictor_spec(args), args.bench, _scoring_config(args.config), out,
+        fixed_inference_time_s=args.fixed_time, repeat=args.repeat,
+    )
     if outcome.rejected:
         print(f"rejected: {outcome.reason}", file=sys.stderr)
         return EXIT_REJECTED
-
-    doc = {}
-    for name in ("test", "ood"):
-        elapsed, predictions = run_inference(
-            spec, bench / name, out / "pred" / name, predictor=predictor, repeat=args.repeat
-        )
-        used = args.fixed_time if args.fixed_time is not None else elapsed
-        dataset = read_dataset(bench / name)
-        metrics = evaluate_split(
-            dataset, predictions, config.field_criteria, total_inference_time_s=used
-        )
-        doc[name] = metrics.to_dict()
-    path = out / "metrics.json"
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
+    write_metrics(split_metrics, out / "metrics.json")
+    print(f"wrote {out / 'metrics.json'}")
     return EXIT_OK
 
 
 def _cmd_score(args) -> int:
-    config = _scoring_config(args.config)
-    doc = json.loads(Path(args.metrics).read_text(encoding="utf-8"))
-    metrics = {name: SplitMetrics.from_dict(doc[name]) for name in ("test", "ood")}
-    speedups = {
-        name: compute_speedup(m.total_solver_time_s, m.total_inference_time_s)
-        for name, m in metrics.items()
-    }
-    report = score_from_values(
-        ml_values=criterion_values_from_metrics(metrics["test"], ML_CRITERIA),
-        ood_values=criterion_values_from_metrics(metrics["ood"], OOD_CRITERIA),
-        physics_values=criterion_values_from_metrics(metrics["test"], PHYSICS_CRITERIA),
-        speedup_ml=speedups["test"],
-        speedup_ood=speedups["ood"],
-        config=config,
-    )
+    report = score_metrics(read_metrics(args.metrics), _scoring_config(args.config))
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        write_score_report(report, args.out)
     print(render_report(report), end="")
     return EXIT_OK
 
@@ -143,14 +99,13 @@ def _cmd_score(args) -> int:
 def _cmd_run(args) -> int:
     config = _scoring_config(args.config)
     spec = _predictor_spec(args)
-    fixed = args.fixed_time
     report, entry = run_benchmark(
         spec,
         args.bench,
         config,
         out_dir=args.out,
         store_path=resolve_store_path(args.store),
-        fixed_inference_time_s=fixed,
+        fixed_inference_time_s=args.fixed_time,
         include_timestamp=not args.no_timestamp,
         repeat=args.repeat,
     )
@@ -217,13 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_predictor_args(p)
     p.add_argument("--bench", required=True, help="benchmark directory (train/test/ood)")
     p.add_argument("--out", default=None, help="run output directory (predictions, metrics, reports)")
-    p.add_argument("--store", default=None, help=f"leaderboard path (or ${STORE_ENV_VAR_NAME})")
+    p.add_argument("--store", default=None, help=f"leaderboard path (or ${STORE_ENV_VAR})")
     p.add_argument("--no-timestamp", action="store_true", dest="no_timestamp",
                    help="record an empty timestamp for byte-reproducible entries")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("leaderboard", help="list recorded runs, best first")
-    p.add_argument("--store", default=None, help=f"leaderboard path (or ${STORE_ENV_VAR_NAME})")
+    p.add_argument("--store", default=None, help=f"leaderboard path (or ${STORE_ENV_VAR})")
     p.set_defaults(func=_cmd_leaderboard)
 
     p = sub.add_parser("report", help="render a stored score report")

@@ -18,7 +18,7 @@ import os
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -43,6 +43,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_STORE = "leaderboard.jsonl"
 STORE_ENV_VAR = "AIRBENCH_STORE"
+SCORED_SPLITS = ("test", "ood")
 
 
 @dataclass
@@ -139,14 +140,10 @@ def run_training(
     return TrainingOutcome(status="trained", elapsed_s=elapsed)
 
 
-def verify_predictions(dataset: Dataset, pred_dir: str | Path) -> list[Prediction]:
-    """Coverage and shape verification, outside the timed window."""
-    return read_predictions(pred_dir, dataset)
-
-
 def run_inference(
     spec: PredictorSpec,
     dataset_dir: str | Path,
+    dataset: Dataset,
     pred_dir: str | Path,
     predictor=None,
     clock=time.perf_counter,
@@ -154,16 +151,16 @@ def run_inference(
 ) -> tuple[float, list[Prediction]]:
     """Produce predictions for one split and measure wall-clock seconds.
 
-    External: the timer brackets the whole process invocation. Builtin: the
-    timer brackets the prediction loop only; reading the dataset, writing
-    prediction files, and verifying them all happen outside it. With
-    repeat > 1 the measurement is the minimum over repetitions. Returns the
-    measured seconds and the verified predictions.
+    `dataset` is the split read from `dataset_dir`; an external predictor is
+    handed the directory, a builtin one the samples. External: the timer
+    brackets the whole process invocation. Builtin: the timer brackets the
+    prediction loop only; writing prediction files and verifying them happen
+    outside it. With repeat > 1 the measurement is the minimum over
+    repetitions. Returns the measured seconds and the verified predictions.
     """
     spec.validate()
     if repeat < 1:
         raise ConfigError(f"repeat must be >= 1, got {repeat}")
-    dataset = read_dataset(dataset_dir)
     pred_dir = Path(pred_dir)
     pred_dir.mkdir(parents=True, exist_ok=True)
 
@@ -196,7 +193,7 @@ def run_inference(
         )
 
     elapsed = min(times)
-    predictions = verify_predictions(dataset, pred_dir)
+    predictions = read_predictions(pred_dir, dataset)
     return elapsed, predictions
 
 
@@ -216,20 +213,7 @@ class LeaderboardEntry:
     timing: str = "builtin-loop"  # or "external-process"; not comparable across modes
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "timestamp": self.timestamp,
-            "scoring_config_digest": self.scoring_config_digest,
-            "dataset_digests": dict(sorted(self.dataset_digests.items())),
-            "global_score": self.global_score,
-            "score_ml": self.score_ml,
-            "score_ood": self.score_ood,
-            "score_physics": self.score_physics,
-            "classifications": {k: dict(v) for k, v in sorted(self.classifications.items())},
-            "speedups": dict(sorted(self.speedups.items())),
-            "rejection_reason": self.rejection_reason,
-            "timing": self.timing,
-        }
+        return asdict(self)  # written with sort_keys, which orders every level
 
     @classmethod
     def from_dict(cls, data: dict) -> "LeaderboardEntry":
@@ -278,16 +262,96 @@ def leaderboard_list(store_path: str | Path) -> list[LeaderboardEntry]:
     return entries
 
 
-def _solver_total(metrics: SplitMetrics, n_samples: int, config: ScoringConfig) -> float:
-    if config.solver_time_source == "constant":
-        return config.solver_time_constant_s * n_samples
-    return metrics.total_solver_time_s
-
-
 def _timestamp(include: bool) -> str:
     if not include:
         return ""
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def write_metrics(split_metrics: dict[str, SplitMetrics], path: str | Path) -> None:
+    """Write ``metrics.json``: the raw metrics of each scored split."""
+    _write_json(Path(path), {name: m.to_dict() for name, m in sorted(split_metrics.items())})
+
+
+def read_metrics(path: str | Path) -> dict[str, SplitMetrics]:
+    """Read the test and OOD metrics back from a ``metrics.json``."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    return {name: SplitMetrics.from_dict(doc[name]) for name in SCORED_SPLITS}
+
+
+def write_score_report(report: ScoreReport, path: str | Path) -> None:
+    """Write ``score_report.json``, the machine form of a score report."""
+    _write_json(Path(path), report.to_dict())
+
+
+def evaluate_benchmark(
+    spec: PredictorSpec,
+    bench_dir: str | Path,
+    config: ScoringConfig,
+    out_dir: str | Path,
+    *,
+    fixed_inference_time_s: float | dict[str, float] | None,
+    repeat: int,
+    clock=time.perf_counter,
+) -> tuple[TrainingOutcome, dict[str, SplitMetrics] | None]:
+    """Train, then run inference on the test and OOD splits and evaluate them.
+
+    Each split is read once; its predictions go to ``out_dir/pred/<split>``.
+    `fixed_inference_time_s` substitutes a deterministic stub time (one value
+    or per split) for the measured one. The config's solver-time source is
+    applied here, so each split's `total_solver_time_s` is the reference
+    total its speed-up divides. Returns the training outcome and
+    {split: SplitMetrics}, or None for the metrics if training was rejected.
+    """
+    bench_dir = Path(bench_dir)
+    out_dir = Path(out_dir)
+    predictor = resolve_builtin(spec.builtin) if spec.builtin is not None else None
+    budget = spec.training_budget_s if spec.training_budget_s is not None else config.training_budget_s
+    outcome = run_training(spec, bench_dir / "train", budget, predictor=predictor, clock=clock)
+    if outcome.rejected:
+        return outcome, None
+
+    split_metrics: dict[str, SplitMetrics] = {}
+    for name in SCORED_SPLITS:
+        split_dir = bench_dir / name
+        dataset = read_dataset(split_dir)
+        elapsed, predictions = run_inference(
+            spec, split_dir, dataset, out_dir / "pred" / name,
+            predictor=predictor, clock=clock, repeat=repeat,
+        )
+        if isinstance(fixed_inference_time_s, dict):
+            used = fixed_inference_time_s.get(name, elapsed)
+        elif fixed_inference_time_s is not None:
+            used = float(fixed_inference_time_s)
+        else:
+            used = elapsed
+        metrics = evaluate_split(dataset, predictions, config.field_criteria, total_inference_time_s=used)
+        if config.solver_time_source == "constant":
+            metrics.total_solver_time_s = config.solver_time_constant_s * len(dataset.samples)
+        split_metrics[name] = metrics
+    return outcome, split_metrics
+
+
+def score_metrics(split_metrics: dict[str, SplitMetrics], config: ScoringConfig) -> ScoreReport:
+    """Score the test and OOD metrics.
+
+    ML and physics criteria come from the test split, OOD criteria from the
+    OOD split. Each speed-up is the split's total reference solver time over
+    its inference time.
+    """
+    test, ood = split_metrics["test"], split_metrics["ood"]
+    return score_from_values(
+        ml_values=criterion_values_from_metrics(test, ML_CRITERIA),
+        ood_values=criterion_values_from_metrics(ood, OOD_CRITERIA),
+        physics_values=criterion_values_from_metrics(test, PHYSICS_CRITERIA),
+        speedup_ml=compute_speedup(test.total_solver_time_s, test.total_inference_time_s),
+        speedup_ood=compute_speedup(ood.total_solver_time_s, ood.total_inference_time_s),
+        config=config,
+    )
 
 
 def run_benchmark(
@@ -301,24 +365,19 @@ def run_benchmark(
     repeat: int = 1,
     clock=time.perf_counter,
 ) -> tuple[ScoreReport, LeaderboardEntry]:
-    """Full pipeline: train, infer on test and OOD, evaluate, score, record.
+    """Full pipeline: `evaluate_benchmark`, then `score_metrics`, then record.
 
-    ML criteria come from the test split, OOD criteria from the OOD split,
-    physics criteria from the test split. Speed-ups compare each split's
-    total reference solver time with its measured inference time;
-    `fixed_inference_time_s` substitutes a deterministic stub time (one value
-    or per split) for reproducible scoring. When `store_path` is given the
-    resulting entry is appended there.
+    Writes ``metrics.json`` (unless training was rejected),
+    ``score_report.json`` and ``report.txt`` to `out_dir` (a temporary
+    directory when None). When `store_path` is given the resulting entry is
+    appended there.
     """
     spec.validate()
     config.validate()
     bench_dir = Path(bench_dir)
-    for name in ("train", "test", "ood"):
+    for name in ("train", *SCORED_SPLITS):
         if not (bench_dir / name / "manifest.json").exists():
             raise FormatError(f"benchmark directory is missing the {name!r} split: {bench_dir / name}")
-
-    predictor = resolve_builtin(spec.builtin) if spec.builtin is not None else None
-    budget = spec.training_budget_s if spec.training_budget_s is not None else config.training_budget_s
 
     tmp = None
     if out_dir is None:
@@ -328,94 +387,41 @@ def run_benchmark(
     out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
-        digests = {name: dataset_digest(bench_dir / name) for name in ("train", "test", "ood")}
-        outcome = run_training(spec, bench_dir / "train", budget, predictor=predictor, clock=clock)
-        if outcome.rejected:
-            report = rejected_report(outcome.reason)
-            entry = LeaderboardEntry(
-                label=spec.label,
-                timestamp=_timestamp(include_timestamp),
-                scoring_config_digest=config.digest(),
-                dataset_digests=digests,
-                rejection_reason=outcome.reason,
-                timing="external-process" if spec.command else "builtin-loop",
-            )
-            _write_run_outputs(out_dir, None, report, spec.label)
-            if store_path is not None:
-                append_leaderboard_entry(store_path, entry)
-            return report, entry
-
-        split_metrics: dict[str, SplitMetrics] = {}
-        speedups: dict[str, float] = {}
-        for name in ("test", "ood"):
-            split_dir = bench_dir / name
-            elapsed, predictions = run_inference(
-                spec, split_dir, out_dir / "pred" / name, predictor=predictor, clock=clock, repeat=repeat
-            )
-            if isinstance(fixed_inference_time_s, dict):
-                used = fixed_inference_time_s.get(name, elapsed)
-            elif fixed_inference_time_s is not None:
-                used = float(fixed_inference_time_s)
-            else:
-                used = elapsed
-            dataset = read_dataset(split_dir)
-            metrics = evaluate_split(
-                dataset, predictions, config.field_criteria, total_inference_time_s=used
-            )
-            split_metrics[name] = metrics
-            speedups[name] = compute_speedup(
-                _solver_total(metrics, len(dataset.samples), config), used
-            )
-
-        report = score_from_values(
-            ml_values=criterion_values_from_metrics(split_metrics["test"], ML_CRITERIA),
-            ood_values=criterion_values_from_metrics(split_metrics["ood"], OOD_CRITERIA),
-            physics_values=criterion_values_from_metrics(split_metrics["test"], PHYSICS_CRITERIA),
-            speedup_ml=speedups["test"],
-            speedup_ood=speedups["ood"],
-            config=config,
+        digests = {name: dataset_digest(bench_dir / name) for name in ("train", *SCORED_SPLITS)}
+        outcome, split_metrics = evaluate_benchmark(
+            spec, bench_dir, config, out_dir,
+            fixed_inference_time_s=fixed_inference_time_s, repeat=repeat, clock=clock,
         )
         entry = LeaderboardEntry(
             label=spec.label,
             timestamp=_timestamp(include_timestamp),
             scoring_config_digest=config.digest(),
             dataset_digests=digests,
-            global_score=report.global_score,
-            score_ml=report.ml.score,
-            score_ood=report.ood.score,
-            score_physics=report.physics.score,
-            classifications={
-                "ml": {c.name: c.classification.marker for c in report.ml.criteria},
-                "ood": {c.name: c.classification.marker for c in report.ood.criteria},
-                "physics": {c.name: c.classification.marker for c in report.physics.criteria},
-            },
-            speedups=speedups,
             timing="external-process" if spec.command else "builtin-loop",
         )
-        _write_run_outputs(out_dir, split_metrics, report, spec.label)
+        if outcome.rejected:
+            report = rejected_report(outcome.reason)
+            entry.rejection_reason = outcome.reason
+        else:
+            write_metrics(split_metrics, out_dir / "metrics.json")
+            report = score_metrics(split_metrics, config)
+            entry.global_score = report.global_score
+            entry.score_ml = report.ml.score
+            entry.score_ood = report.ood.score
+            entry.score_physics = report.physics.score
+            entry.classifications = {
+                cat.name: {c.name: c.classification.marker for c in cat.criteria}
+                for cat in (report.ml, report.ood, report.physics)
+            }
+            entry.speedups = {"test": report.ml.speedup, "ood": report.ood.speedup}
+        write_score_report(report, out_dir / "score_report.json")
+        (out_dir / "report.txt").write_text(render_report(report, label=spec.label), encoding="utf-8")
         if store_path is not None:
             append_leaderboard_entry(store_path, entry)
         return report, entry
     finally:
         if tmp is not None:
             tmp.cleanup()
-
-
-def _write_run_outputs(
-    out_dir: Path,
-    split_metrics: dict[str, SplitMetrics] | None,
-    report: ScoreReport,
-    label: str,
-) -> None:
-    if split_metrics is not None:
-        metrics_doc = {name: m.to_dict() for name, m in sorted(split_metrics.items())}
-        (out_dir / "metrics.json").write_text(
-            json.dumps(metrics_doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-    (out_dir / "score_report.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    (out_dir / "report.txt").write_text(render_report(report, label=label), encoding="utf-8")
 
 
 _CATEGORY_TITLES = {"ml": "ML-related", "ood": "OOD generalization", "physics": "Physics"}

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,19 @@ def _parse_sample_csv(path: Path) -> np.ndarray:
     return data
 
 
+def _entry_paths(directory: Path, entry: dict) -> list[Path]:
+    """The csv and meta paths a manifest entry names; each must lie inside `directory`."""
+    paths = []
+    for key in ("csv", "meta"):
+        name = entry.get(key)
+        if not isinstance(name, str):
+            raise FormatError(f"{directory}: manifest entry {entry.get('id')!r} lacks a {key!r} path")
+        if os.path.isabs(name) or os.path.normpath(name).split(os.sep)[0] == "..":
+            raise FormatError(f"{directory}: {key} path {name!r} of {entry.get('id')!r} leaves the directory")
+        paths.append(directory / name)
+    return paths
+
+
 def read_dataset(directory: str | Path) -> Dataset:
     """Read a dataset directory; the result satisfies every type invariant.
 
@@ -163,11 +177,11 @@ def read_dataset(directory: str | Path) -> Dataset:
     samples = []
     for entry in manifest["samples"]:
         sid = entry.get("id")
-        csv_path = directory / entry["csv"]
+        csv_path, meta_path = _entry_paths(directory, entry)
         if not csv_path.exists():
             raise FormatError(f"manifest references missing sample file for id {sid!r}")
         data = _parse_sample_csv(csv_path)
-        sidecar = _load_json(directory / entry["meta"])
+        sidecar = _load_json(meta_path)
         meta = sidecar["meta"]
         sample = Sample(
             id=sid,
@@ -264,6 +278,6 @@ def dataset_digest(directory: str | Path) -> str:
     h.update(manifest_path.read_bytes())
     manifest = _load_json(manifest_path)
     for entry in manifest["samples"]:
-        h.update((directory / entry["csv"]).read_bytes())
-        h.update((directory / entry["meta"]).read_bytes())
+        for path in _entry_paths(directory, entry):
+            h.update(path.read_bytes())
     return h.hexdigest()

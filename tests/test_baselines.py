@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from airbench import (
     Dataset,
@@ -20,6 +21,7 @@ from airbench import (
     resolve_builtin,
     sample_point_cloud,
 )
+from airbench.baselines import _nearest, _node_features
 from airbench.metrics import coefficient_series, field_error
 
 
@@ -141,6 +143,24 @@ class TestKnn:
     def test_empty_split_rejected(self):
         with pytest.raises(ParameterError):
             knn_fit(Dataset(split=Split.TRAIN, samples=[]), k=1)
+
+    @pytest.mark.parametrize("k", [1, 5, 70])
+    def test_neighbors_equal_one_tree_over_the_pool(self, test_ds, k):
+        # Unequal sample sizes; k=70 exceeds the smallest sample's 64 nodes.
+        train = Dataset(
+            split=Split.TRAIN,
+            samples=[_varied_dataset(Split.TRAIN, i + 1, nodes=n).samples[i] for i, n in enumerate((96, 64, 150, 80))],
+        )
+        model = knn_fit(train, k=k)
+        pool = cKDTree(model.features)
+        for s in test_ds.samples + train.samples:
+            q = _node_features(s) / model.scale
+            want_d, want_i = (a.reshape(len(q), k) for a in pool.query(q, k=k))
+            got_d, got_i = _nearest(model, q)
+            for want, got in ((want_d, got_d), (want_i, got_i)):
+                by_want = np.take_along_axis(want, np.lexsort((want_i, want_d), axis=1), axis=1)
+                by_got = np.take_along_axis(got, np.lexsort((got_i, got_d), axis=1), axis=1)
+                assert by_want.tobytes() == by_got.tobytes()
 
     def test_beats_constant_on_field_error(self, train_ds, test_ds):
         model = knn_fit(train_ds, k=5)

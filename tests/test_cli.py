@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -116,26 +117,38 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].split()[1] == "oracle"  # best first
 
-    def test_evaluate_then_score_matches_run(self, tmp_path, capsys):
+    @pytest.mark.parametrize("solver_time_source", ["sample_meta", "constant"])
+    def test_evaluate_then_score_matches_run(self, tmp_path, capsys, solver_time_source):
         gen_cfg = tmp_path / "gen.json"
-        gen_cfg.write_text(json.dumps(TINY_CONFIG.to_dict()))
+        gen_cfg.write_text(json.dumps(replace(TINY_CONFIG, solver_time_s=100.0).to_dict()))
         bench = tmp_path / "bench"
         main(["generate", "--config", str(gen_cfg), "--out", str(bench)])
+        score_cfg = tmp_path / "score.json"
+        replace(default_scoring_config(), solver_time_source=solver_time_source).save(score_cfg)
+        common = ["--config", str(score_cfg), "--fixed-time", "1"]
         capsys.readouterr()
 
-        out = tmp_path / "eval"
         rc = main([
-            "evaluate", "--predictor", "oracle", "--bench", str(bench),
-            "--out", str(out), "--fixed-time", str(SOLVER_TOTAL / 10000),
+            "run", "--predictor", "oracle", "--bench", str(bench), "--out", str(tmp_path / "run"),
+            "--store", str(tmp_path / "lb.jsonl"), "--no-timestamp", *common,
         ])
         assert rc == 0
+        out = tmp_path / "eval"
+        rc = main(["evaluate", "--predictor", "oracle", "--bench", str(bench), "--out", str(out), *common])
+        assert rc == 0
         capsys.readouterr()
-        rc = main(["score", "--metrics", str(out / "metrics.json"),
+        rc = main(["score", "--metrics", str(out / "metrics.json"), "--config", str(score_cfg),
                    "--out", str(tmp_path / "rep.json")])
         assert rc == 0
-        assert "100.0%" in capsys.readouterr().out
+        assert (out / "metrics.json").read_bytes() == (tmp_path / "run" / "metrics.json").read_bytes()
+        assert (tmp_path / "rep.json").read_bytes() == (tmp_path / "run" / "score_report.json").read_bytes()
         report = json.loads((tmp_path / "rep.json").read_text())
-        assert report["global_score"] == 1.0
+        if solver_time_source == "constant":
+            # 3 samples at the shipped 1500 s each over the fixed 1 s of inference.
+            assert report["ml"]["speedup"] == report["ood"]["speedup"] == 4500.0
+        else:
+            assert report["ml"]["speedup"] == report["ood"]["speedup"] == 300.0
+        assert report["physics"]["score"] == 1.0
 
         rc = main(["report", str(tmp_path / "rep.json"), "--label", "echo"])
         assert rc == 0

@@ -73,14 +73,14 @@ class TestRunTraining:
 class TestRunInference:
     def test_builtin_oracle_covers_split(self, small_bench, tmp_path):
         predictor = resolve_builtin("oracle")
+        dataset = read_dataset(small_bench / "test")
         elapsed, preds = run_inference(
-            _builtin_spec("oracle"), small_bench / "test", tmp_path / "pred", predictor=predictor
+            _builtin_spec("oracle"), small_bench / "test", dataset, tmp_path / "pred",
+            predictor=predictor,
         )
         assert elapsed > 0.0
         assert len(preds) == TINY_CONFIG.n_test
-        assert sorted(p.sample_id for p in preds) == sorted(
-            s.id for s in read_dataset(small_bench / "test").samples
-        )
+        assert sorted(p.sample_id for p in preds) == sorted(s.id for s in dataset.samples)
 
     def test_missing_prediction_is_coverage_error(self, small_bench, tmp_path):
         # external predictor that drops one file
@@ -93,14 +93,17 @@ class TestRunInference:
         )
         spec = PredictorSpec(label="dropper", command=[sys.executable, "-c", code])
         with pytest.raises(CoverageError):
-            run_inference(spec, small_bench / "test", tmp_path / "pred")
+            run_inference(
+                spec, small_bench / "test", read_dataset(small_bench / "test"), tmp_path / "pred"
+            )
 
     def test_deterministic_prediction_bytes(self, small_bench, tmp_path):
         spec = _builtin_spec("constant")
         predictor = resolve_builtin("constant")
         predictor.fit(read_dataset(small_bench / "train"))
-        run_inference(spec, small_bench / "test", tmp_path / "p1", predictor=predictor)
-        run_inference(spec, small_bench / "test", tmp_path / "p2", predictor=predictor)
+        dataset = read_dataset(small_bench / "test")
+        run_inference(spec, small_bench / "test", dataset, tmp_path / "p1", predictor=predictor)
+        run_inference(spec, small_bench / "test", dataset, tmp_path / "p2", predictor=predictor)
         files1 = sorted((tmp_path / "p1").glob("*.csv"))
         files2 = sorted((tmp_path / "p2").glob("*.csv"))
         assert [f.name for f in files1] == [f.name for f in files2]
@@ -117,17 +120,18 @@ class TestRunInference:
             return float(len(calls))
 
         seen_at = []
-        real_verify = harness.verify_predictions
+        real_read = harness.read_predictions
 
-        def spy_verify(dataset, pred_dir):
+        def spy_read(pred_dir, dataset):
             seen_at.append(len(calls))
-            return real_verify(dataset, pred_dir)
+            return real_read(pred_dir, dataset)
 
-        monkeypatch.setattr(harness, "verify_predictions", spy_verify)
+        monkeypatch.setattr(harness, "read_predictions", spy_read)
         predictor = resolve_builtin("oracle")
         elapsed, _ = harness.run_inference(
             _builtin_spec("oracle"),
             small_bench / "test",
+            read_dataset(small_bench / "test"),
             tmp_path / "pred",
             predictor=predictor,
             clock=fake_clock,
@@ -140,6 +144,7 @@ class TestRunInference:
         elapsed, _ = run_inference(
             _builtin_spec("oracle"),
             small_bench / "test",
+            read_dataset(small_bench / "test"),
             tmp_path / "pred",
             predictor=resolve_builtin("oracle"),
             clock=lambda: next(ticks),

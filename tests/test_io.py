@@ -190,6 +190,40 @@ def test_bad_header_rejected(tmp_path, tiny_train):
         read_dataset(tmp_path / "d")
 
 
+def test_crossed_contour_rejected_on_read(tmp_path, tiny_train):
+    # The contour is checked where a sample enters; force integration relies on it.
+    write_dataset(tiny_train, tmp_path / "d")
+    meta = tmp_path / "d" / "samples" / f"{tiny_train.samples[0].id}.meta.json"
+    doc = json.loads(meta.read_text())
+    order = doc["surface_order"]
+    order[1], order[17] = order[17], order[1]
+    meta.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="surface_order"):
+        read_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize("key, where", [("csv", "absolute"), ("meta", "parent"), ("csv", "missing")])
+def test_manifest_paths_must_stay_inside_the_dataset(tmp_path, tiny_train, key, where):
+    # The escaping paths name real copies of the sample's files, so only the
+    # path check can refuse them.
+    write_dataset(tiny_train, tmp_path / "d")
+    man = tmp_path / "d" / "manifest.json"
+    doc = json.loads(man.read_text())
+    entry = doc["samples"][0]
+    outside = tmp_path / f"outside-{key}"
+    outside.write_bytes((tmp_path / "d" / entry[key]).read_bytes())
+    if where == "absolute":
+        entry[key] = str(outside)
+    elif where == "parent":
+        entry[key] = f"samples/../../{outside.name}"
+    else:
+        del entry[key]
+    man.write_text(json.dumps(doc))
+    for read in (read_dataset, dataset_digest):
+        with pytest.raises(FormatError, match=key):
+            read(tmp_path / "d")
+
+
 class TestPredictionIO:
     def test_roundtrip(self, tmp_path, tiny_train):
         preds = [Prediction(sample_id=s.id, fields=s.truth_fields) for s in tiny_train.samples]

@@ -144,24 +144,6 @@ class TestForceCoefficients:
         with pytest.raises(GeometryError):
             force_coefficients(trimmed, s.truth_fields)
 
-    def test_self_intersecting_contour(self):
-        s = sample_point_cloud(CAMBERED, 128, seed=1, sample_id="u")
-        order = np.array(s.surface_order)
-        order[[1, 17]] = order[[17, 1]]  # cross the contour
-        crossed = Sample(
-            id=s.id,
-            positions=s.positions,
-            inlet_velocity=s.inlet_velocity,
-            distance=s.distance,
-            normals=s.normals,
-            is_surface=s.is_surface,
-            surface_order=order,
-            truth_fields=s.truth_fields,
-            meta=s.meta,
-        )
-        with pytest.raises(GeometryError):
-            force_coefficients(crossed, s.truth_fields)
-
     def test_pressure_offset_invariance(self):
         s = sample_point_cloud(CAMBERED, 512, seed=4, sample_id="o")
         cd0, cl0 = force_coefficients(s, s.truth_fields)
