@@ -28,7 +28,6 @@ from .model import (
     Split,
     polygon_is_simple,
     validate_dataset,
-    validate_prediction,
     validate_sample,
 )
 from .io import (
@@ -84,7 +83,6 @@ from .scoring import (
     combine_global,
     compute_speedup,
     default_scoring_config,
-    global_score,
     score_from_values,
     speed_score,
 )

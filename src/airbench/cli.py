@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import shlex
 import sys
 from pathlib import Path
@@ -24,6 +23,7 @@ from .harness import (
     evaluate_benchmark,
     leaderboard_list,
     read_metrics,
+    read_score_report,
     render_report,
     resolve_store_path,
     run_benchmark,
@@ -32,10 +32,10 @@ from .harness import (
     write_score_report,
 )
 from .harness import run_inference  # unused here; perfbench/layers.py patches this name
-from .io import dataset_digest
+from .io import dataset_digest, read_json
 from .io import read_dataset  # unused here; perfbench/layers.py patches this name
 from .metrics import evaluate_split  # unused here; perfbench/layers.py patches this name
-from .scoring import ScoreReport, ScoringConfig, default_scoring_config
+from .scoring import ScoringConfig, default_scoring_config
 from .scoring import score_from_values  # unused here; perfbench/layers.py patches this name
 from .synthflow import GenerationConfig, generate_benchmark
 
@@ -61,11 +61,11 @@ def _predictor_spec(args) -> PredictorSpec:
 def _scoring_config(path: str | None) -> ScoringConfig:
     if path is None:
         return default_scoring_config()
-    return ScoringConfig.from_json(path)
+    return ScoringConfig.from_dict(read_json(path))
 
 
 def _cmd_generate(args) -> int:
-    config = GenerationConfig.from_json(args.config) if args.config else GenerationConfig()
+    config = GenerationConfig.from_dict(read_json(args.config)) if args.config else GenerationConfig()
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     datasets = generate_benchmark(config, args.out)
@@ -129,8 +129,7 @@ def _cmd_leaderboard(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    data = json.loads(Path(args.score_report).read_text(encoding="utf-8"))
-    print(render_report(ScoreReport.from_dict(data), label=args.label), end="")
+    print(render_report(read_score_report(args.score_report), label=args.label), end="")
     return EXIT_OK
 
 

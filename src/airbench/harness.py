@@ -24,7 +24,15 @@ from pathlib import Path
 
 from .baselines import resolve_builtin
 from .errors import ConfigError, FormatError, InferenceError, ParameterError, TrainingError
-from .io import dataset_digest, read_dataset, read_predictions, write_predictions
+from .io import (
+    dataset_digest,
+    decoding,
+    read_dataset,
+    read_json,
+    read_predictions,
+    write_json,
+    write_predictions,
+)
 from .metrics import SplitMetrics, evaluate_split
 from .model import Dataset, Prediction
 from .scoring import (
@@ -212,13 +220,6 @@ class LeaderboardEntry:
     rejection_reason: str | None = None
     timing: str = "builtin-loop"  # or "external-process"; not comparable across modes
 
-    def to_dict(self) -> dict:
-        return asdict(self)  # written with sort_keys, which orders every level
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LeaderboardEntry":
-        return cls(**data)
-
 
 def resolve_store_path(explicit: str | Path | None = None) -> Path:
     """Store precedence: explicit argument, then AIRBENCH_STORE, then default."""
@@ -232,7 +233,7 @@ def append_leaderboard_entry(store_path: str | Path, entry: LeaderboardEntry) ->
     """Append one JSON line under an exclusive advisory lock; never rewrites."""
     store_path = Path(store_path)
     store_path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(entry.to_dict(), sort_keys=True) + "\n"
+    line = json.dumps(asdict(entry), sort_keys=True) + "\n"
     with store_path.open("a", encoding="utf-8") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
         try:
@@ -255,7 +256,7 @@ def leaderboard_list(store_path: str | Path) -> list[LeaderboardEntry]:
         if not line.strip():
             continue
         try:
-            entries.append(LeaderboardEntry.from_dict(json.loads(line)))
+            entries.append(LeaderboardEntry(**json.loads(line)))
         except (json.JSONDecodeError, TypeError) as e:
             logger.warning("%s:%d: skipping corrupt leaderboard line (%s)", store_path, lineno, e)
     entries.sort(key=lambda e: (-e.global_score, e.timestamp))
@@ -268,24 +269,28 @@ def _timestamp(include: bool) -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
 def write_metrics(split_metrics: dict[str, SplitMetrics], path: str | Path) -> None:
     """Write ``metrics.json``: the raw metrics of each scored split."""
-    _write_json(Path(path), {name: m.to_dict() for name, m in sorted(split_metrics.items())})
+    write_json(path, {name: asdict(m) for name, m in split_metrics.items()})
 
 
 def read_metrics(path: str | Path) -> dict[str, SplitMetrics]:
     """Read the test and OOD metrics back from a ``metrics.json``."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {name: SplitMetrics.from_dict(doc[name]) for name in SCORED_SPLITS}
+    doc = read_json(path)
+    with decoding(path):
+        return {name: SplitMetrics(**doc[name]) for name in SCORED_SPLITS}
 
 
 def write_score_report(report: ScoreReport, path: str | Path) -> None:
     """Write ``score_report.json``, the machine form of a score report."""
-    _write_json(Path(path), report.to_dict())
+    write_json(path, asdict(report))
+
+
+def read_score_report(path: str | Path) -> ScoreReport:
+    """Read a ``score_report.json`` back."""
+    doc = read_json(path)
+    with decoding(path):
+        return ScoreReport.from_dict(doc)
 
 
 def evaluate_benchmark(

@@ -16,14 +16,16 @@ twice yields byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CoverageError, FormatError, ShapeError, ValidationError
+from .errors import AirbenchError, CoverageError, FormatError, ShapeError, ValidationError
 from .model import (
     Dataset,
     FieldSet,
@@ -43,8 +45,36 @@ def _fmt(value: float) -> str:
     return _FLOAT_FMT % value
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def write_json(path: str | Path, obj) -> None:
+    """Write `obj` as canonical JSON: sorted keys, two-space indent, trailing newline."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def read_json(path: str | Path):
+    """Parse a JSON file; a missing or invalid file raises FormatError naming ``path:line``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise FormatError(f"missing file: {path}") from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{path}:{e.lineno}: {e.msg}") from None
+
+
+@contextlib.contextmanager
+def decoding(source: str | Path, error: type[AirbenchError] = FormatError):
+    """Raise a missing key or a wrong type met while decoding `source` as `error` naming it."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise error(f"{source}: {type(e).__name__}: {e}") from None
+
+
+def json_digest(obj) -> str:
+    """SHA-256 of the compact canonical JSON of `obj`."""
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _sample_csv_text(sample: Sample) -> str:
@@ -69,23 +99,6 @@ def _sample_csv_text(sample: Sample) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sample_meta_json(sample: Sample) -> str:
-    m = sample.meta
-    return _canonical_json(
-        {
-            "surface_order": [int(i) for i in sample.surface_order],
-            "inlet_velocity": [float(sample.inlet_velocity[0]), float(sample.inlet_velocity[1])],
-            "meta": {
-                "alpha_rad": m.alpha_rad,
-                "u_inf": m.u_inf,
-                "chord": m.chord,
-                "rho": m.rho,
-                "solver_time_s": m.solver_time_s,
-            },
-        }
-    )
-
-
 def write_dataset(dataset: Dataset, directory: str | Path) -> None:
     """Write a dataset in the canonical directory format.
 
@@ -104,7 +117,14 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> None:
         csv_name = f"samples/{sample.id}.csv"
         meta_name = f"samples/{sample.id}.meta.json"
         (directory / csv_name).write_text(_sample_csv_text(sample), encoding="utf-8")
-        (directory / meta_name).write_text(_sample_meta_json(sample), encoding="utf-8")
+        write_json(
+            directory / meta_name,
+            {
+                "surface_order": [int(i) for i in sample.surface_order],
+                "inlet_velocity": [float(v) for v in sample.inlet_velocity],
+                "meta": asdict(sample.meta),
+            },
+        )
         entries.append({"id": sample.id, "csv": csv_name, "meta": meta_name})
 
     manifest = {
@@ -112,18 +132,7 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> None:
         "generation_config_digest": dataset.generation_config_digest,
         "samples": entries,
     }
-    (directory / "manifest.json").write_text(_canonical_json(manifest), encoding="utf-8")
-
-
-def _load_json(path: Path):
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise FormatError(f"missing file: {path}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}:{e.lineno}: {e.msg}") from None
+    write_json(directory / "manifest.json", manifest)
 
 
 def _parse_sample_csv(path: Path) -> np.ndarray:
@@ -163,52 +172,41 @@ def read_dataset(directory: str | Path) -> Dataset:
     (naming the sample id and field) for invariant violations.
     """
     directory = Path(directory)
-    manifest = _load_json(directory / "manifest.json")
-    for key in ("split", "generation_config_digest", "samples"):
-        if key not in manifest:
-            raise FormatError(f"{directory / 'manifest.json'}: missing key {key!r}")
-    try:
+    manifest_path = directory / "manifest.json"
+    manifest = read_json(manifest_path)
+    with decoding(manifest_path):
         split = Split(manifest["split"])
-    except ValueError:
-        raise FormatError(
-            f"{directory / 'manifest.json'}: unknown split {manifest['split']!r}"
-        ) from None
+        config_digest = manifest["generation_config_digest"]
+        entries = [dict(entry) for entry in manifest["samples"]]
 
     samples = []
-    for entry in manifest["samples"]:
+    for entry in entries:
         sid = entry.get("id")
+        if not isinstance(sid, str):
+            raise FormatError(f"{manifest_path}: sample entry without a string id: {entry!r}")
         csv_path, meta_path = _entry_paths(directory, entry)
         if not csv_path.exists():
             raise FormatError(f"manifest references missing sample file for id {sid!r}")
         data = _parse_sample_csv(csv_path)
-        sidecar = _load_json(meta_path)
-        meta = sidecar["meta"]
-        sample = Sample(
-            id=sid,
-            positions=data[:, 0:2],
-            inlet_velocity=np.asarray(sidecar["inlet_velocity"], dtype=np.float64),
-            distance=data[:, 2],
-            normals=data[:, 3:5],
-            is_surface=data[:, 5] != 0.0,
-            surface_order=np.asarray(sidecar["surface_order"], dtype=np.int64),
-            truth_fields=FieldSet(
-                u_x=data[:, 6], u_y=data[:, 7], p_s=data[:, 8], nu_t=data[:, 9]
-            ),
-            meta=SampleMeta(
-                alpha_rad=float(meta["alpha_rad"]),
-                u_inf=float(meta["u_inf"]),
-                chord=float(meta["chord"]),
-                rho=float(meta["rho"]),
-                solver_time_s=float(meta["solver_time_s"]),
-            ),
-        )
+        sidecar = read_json(meta_path)
+        with decoding(meta_path):
+            meta = sidecar["meta"]
+            sample = Sample(
+                id=sid,
+                positions=data[:, 0:2],
+                inlet_velocity=np.asarray(sidecar["inlet_velocity"], dtype=np.float64),
+                distance=data[:, 2],
+                normals=data[:, 3:5],
+                is_surface=data[:, 5] != 0.0,
+                surface_order=np.asarray(sidecar["surface_order"], dtype=np.int64),
+                truth_fields=FieldSet(
+                    u_x=data[:, 6], u_y=data[:, 7], p_s=data[:, 8], nu_t=data[:, 9]
+                ),
+                meta=SampleMeta(**{f.name: float(meta[f.name]) for f in fields(SampleMeta)}),
+            )
         samples.append(sample)
 
-    dataset = Dataset(
-        split=split,
-        samples=samples,
-        generation_config_digest=manifest["generation_config_digest"],
-    )
+    dataset = Dataset(split=split, samples=samples, generation_config_digest=config_digest)
     violations = validate_dataset(dataset)
     if violations:
         raise ValidationError("; ".join(violations[:10]))
@@ -227,9 +225,7 @@ def write_predictions(predictions: list[Prediction], pred_dir: str | Path) -> No
         (pred_dir / f"{pred.sample_id}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_predictions(
-    pred_dir: str | Path, dataset: Dataset, inference_time_s: float = 0.0
-) -> list[Prediction]:
+def read_predictions(pred_dir: str | Path, dataset: Dataset) -> list[Prediction]:
     """Read predictions for every sample of `dataset`, enforcing coverage.
 
     Missing files raise CoverageError naming the sample ids; a row-count or
@@ -264,7 +260,6 @@ def read_predictions(
             Prediction(
                 sample_id=sample.id,
                 fields=FieldSet(u_x=data[:, 0], u_y=data[:, 1], p_s=data[:, 2], nu_t=data[:, 3]),
-                inference_time_s=inference_time_s,
             )
         )
     return predictions
@@ -276,8 +271,10 @@ def dataset_digest(directory: str | Path) -> str:
     manifest_path = directory / "manifest.json"
     h = hashlib.sha256()
     h.update(manifest_path.read_bytes())
-    manifest = _load_json(manifest_path)
-    for entry in manifest["samples"]:
+    manifest = read_json(manifest_path)
+    with decoding(manifest_path):
+        entries = [dict(entry) for entry in manifest["samples"]]
+    for entry in entries:
         for path in _entry_paths(directory, entry):
             h.update(path.read_bytes())
     return h.hexdigest()

@@ -224,29 +224,12 @@ class SplitMetrics:
     total_inference_time_s: float = 0.0
     total_solver_time_s: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "field_errors": dict(sorted(self.field_errors.items())),
-            "c_d_rel_err": self.c_d_rel_err,
-            "c_l_rel_err": self.c_l_rel_err,
-            "spearman_d": self.spearman_d,
-            "spearman_l": self.spearman_l,
-            "spearman_d_degenerate": self.spearman_d_degenerate,
-            "spearman_l_degenerate": self.spearman_l_degenerate,
-            "total_inference_time_s": self.total_inference_time_s,
-            "total_solver_time_s": self.total_solver_time_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SplitMetrics":
-        return cls(**data)
-
 
 def evaluate_split(
     dataset: Dataset,
     predictions: list[Prediction],
     criteria: tuple[FieldCriterion, ...] = DEFAULT_FIELD_CRITERIA,
-    total_inference_time_s: float | None = None,
+    total_inference_time_s: float = 0.0,
 ) -> SplitMetrics:
     """Compute every raw criterion for one split.
 
@@ -288,8 +271,6 @@ def evaluate_split(
         rho_d, deg_d = spearman_with_flag(series.cd_true, series.cd_pred)
         rho_l, deg_l = spearman_with_flag(series.cl_true, series.cl_pred)
 
-    if total_inference_time_s is None:
-        total_inference_time_s = float(sum(by_id[s.id].inference_time_s for s in samples))
     return SplitMetrics(
         field_errors=field_errors,
         c_d_rel_err=mean_relative_error(series.cd_pred, series.cd_true),

@@ -11,6 +11,7 @@ shared freely between workers.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -34,16 +35,36 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _array_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    if a.shape != b.shape or a.dtype != b.dtype:
-        return False
-    if np.issubdtype(a.dtype, np.floating):
-        return bool(np.array_equal(a, b, equal_nan=True))
-    return bool(np.array_equal(a, b))
+def _equal(a, b) -> bool:
+    """Arrays by shape, dtype and values (NaN equal to NaN); records field by field; lists item by item."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (
+            isinstance(a, np.ndarray)
+            and isinstance(b, np.ndarray)
+            and a.shape == b.shape
+            and a.dtype == b.dtype
+            and bool(np.array_equal(a, b, equal_nan=a.dtype.kind in "fc"))
+        )
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(_equal, a, b))
+    return a == b
+
+
+class _Record:
+    """Equality over the dataclass fields, so a field added to a record is compared too."""
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return _equal(self, other)
 
 
 @dataclass(eq=False)
-class FieldSet:
+class FieldSet(_Record):
     """The four output channels of one sample, one value per node.
 
     u_x, u_y are velocity components (m/s), p_s is pressure divided by
@@ -68,14 +89,9 @@ class FieldSet:
             raise KeyError(f"unknown field channel {name!r}")
         return getattr(self, name)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FieldSet):
-            return NotImplemented
-        return all(_array_equal(self.channel(c), other.channel(c)) for c in self.CHANNELS)
-
 
 @dataclass(eq=False)
-class SampleMeta:
+class SampleMeta(_Record):
     """Per-sample scalar conditions and bookkeeping."""
 
     alpha_rad: float
@@ -84,20 +100,9 @@ class SampleMeta:
     rho: float
     solver_time_s: float
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SampleMeta):
-            return NotImplemented
-        return (
-            self.alpha_rad == other.alpha_rad
-            and self.u_inf == other.u_inf
-            and self.chord == other.chord
-            and self.rho == other.rho
-            and self.solver_time_s == other.solver_time_s
-        )
-
 
 @dataclass(eq=False)
-class Sample:
+class Sample(_Record):
     """One simulated airfoil case: node cloud, per-node inputs, truth outputs.
 
     `surface_order` lists the indices of the surface nodes in the order that
@@ -131,44 +136,19 @@ class Sample:
         """Surface node coordinates in contour order, shape (S, 2)."""
         return self.positions[self.surface_order]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sample):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and _array_equal(self.positions, other.positions)
-            and _array_equal(self.inlet_velocity, other.inlet_velocity)
-            and _array_equal(self.distance, other.distance)
-            and _array_equal(self.normals, other.normals)
-            and _array_equal(self.is_surface, other.is_surface)
-            and _array_equal(self.surface_order, other.surface_order)
-            and self.truth_fields == other.truth_fields
-            and self.meta == other.meta
-        )
-
 
 @dataclass(eq=False)
-class Dataset:
+class Dataset(_Record):
     split: Split
     samples: list[Sample] = field(default_factory=list)
     generation_config_digest: str = ""
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            self.split == other.split
-            and self.generation_config_digest == other.generation_config_digest
-            and len(self.samples) == len(other.samples)
-            and all(a == b for a, b in zip(self.samples, other.samples))
-        )
 
     def sample_ids(self) -> list[str]:
         return [s.id for s in self.samples]
 
 
 @dataclass(eq=False)
-class Prediction:
+class Prediction(_Record):
     """Predicted output fields for one sample, in the sample's node order.
 
     Prediction fields are not held to the truth-field invariants: a predictor
@@ -178,16 +158,6 @@ class Prediction:
 
     sample_id: str
     fields: FieldSet
-    inference_time_s: float = 0.0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Prediction):
-            return NotImplemented
-        return (
-            self.sample_id == other.sample_id
-            and self.fields == other.fields
-            and self.inference_time_s == other.inference_time_s
-        )
 
 
 def _cross(ox, oy, ax, ay, bx, by):
@@ -239,17 +209,16 @@ def polygon_is_simple(points: np.ndarray) -> bool:
     return True
 
 
-def _validate_fields(fields: FieldSet, n: int, *, require_finite: bool = True) -> list[str]:
+def _validate_fields(fields: FieldSet, n: int) -> list[str]:
     out = []
     for name in FieldSet.CHANNELS:
         arr = fields.channel(name)
         if arr.shape != (n,):
             out.append(f"{name}: length {arr.shape} does not match node count {n}")
             continue
-        if require_finite:
-            bad = np.flatnonzero(~np.isfinite(arr))
-            if bad.size:
-                out.append(f"{name}: non-finite value at index {bad[0]}")
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            out.append(f"{name}: non-finite value at index {bad[0]}")
     nu = fields.nu_t
     if nu.shape == (n,):
         neg = np.flatnonzero(np.isfinite(nu) & (nu < 0.0))
@@ -328,17 +297,6 @@ def validate_sample(sample: Sample) -> list[str]:
     for key in ("alpha_rad", "u_inf", "chord", "rho"):
         if not np.isfinite(getattr(sample.meta, key)):
             v.append(f"meta.{key}: non-finite value")
-    return v
-
-
-def validate_prediction(pred: Prediction, sample: Sample) -> list[str]:
-    """Shape and coverage checks for one prediction against its sample."""
-    v = []
-    if pred.sample_id != sample.id:
-        v.append(f"prediction: sample id {pred.sample_id!r} does not match {sample.id!r}")
-    v.extend(_validate_fields(pred.fields, sample.n_nodes, require_finite=False))
-    if not (np.isfinite(pred.inference_time_s) and pred.inference_time_s >= 0.0):
-        v.append(f"inference_time_s: must be >= 0, got {pred.inference_time_s}")
     return v
 
 

@@ -15,17 +15,15 @@ values bit-exactly.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
 from importlib import resources
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import ConfigError, DomainError
+from .io import decoding, json_digest, read_json
 from .metrics import DEFAULT_FIELD_CRITERIA, FieldCriterion, SplitMetrics
 
 ML_CRITERIA = ("u_x", "u_y", "p", "nu_t", "p_s")
@@ -166,62 +164,18 @@ class ScoreReport:
     rejected: bool = False
     rejection_reason: str | None = None
 
-    def to_dict(self) -> dict:
-        def cat(c: CategoryResult) -> dict:
-            return {
-                "name": c.name,
-                "criteria": [
-                    {
-                        "name": r.name,
-                        "value": r.value,
-                        "classification": int(r.classification),
-                        "non_finite": r.non_finite,
-                    }
-                    for r in c.criteria
-                ],
-                "accuracy": c.accuracy,
-                "speedup": c.speedup,
-                "speed": c.speed,
-                "score": c.score,
-            }
-
-        return {
-            "ml": cat(self.ml),
-            "ood": cat(self.ood),
-            "physics": cat(self.physics),
-            "global_score": self.global_score,
-            "rejected": self.rejected,
-            "rejection_reason": self.rejection_reason,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreReport":
-        def cat(d: dict) -> CategoryResult:
-            return CategoryResult(
-                name=d["name"],
-                criteria=[
-                    CriterionResult(
-                        name=r["name"],
-                        value=r["value"],
-                        classification=Classification(r["classification"]),
-                        non_finite=r.get("non_finite", False),
-                    )
-                    for r in d["criteria"]
-                ],
-                accuracy=d["accuracy"],
-                speedup=d["speedup"],
-                speed=d["speed"],
-                score=d["score"],
-            )
+        """Decode ``dataclasses.asdict`` output read back from JSON."""
 
-        return cls(
-            ml=cat(data["ml"]),
-            ood=cat(data["ood"]),
-            physics=cat(data["physics"]),
-            global_score=data["global_score"],
-            rejected=data["rejected"],
-            rejection_reason=data["rejection_reason"],
-        )
+        def category(d: dict) -> CategoryResult:
+            criteria = [
+                CriterionResult(**{**r, "classification": Classification(r["classification"])})
+                for r in d["criteria"]
+            ]
+            return CategoryResult(**{**d, "criteria": criteria})
+
+        return cls(**{**data, **{name: category(data[name]) for name in ("ml", "ood", "physics")}})
 
 
 @dataclass(frozen=True)
@@ -294,16 +248,7 @@ class ScoringConfig:
                 "ood": table(self.thresholds_ood),
                 "physics": table(self.thresholds_physics),
             },
-            "field_criteria": [
-                {
-                    "name": c.name,
-                    "channel": c.channel,
-                    "kind": c.kind,
-                    "subset": c.subset,
-                    "normalization": c.normalization,
-                }
-                for c in self.field_criteria
-            ],
+            "field_criteria": [asdict(c) for c in self.field_criteria],
         }
 
     @classmethod
@@ -316,7 +261,7 @@ class ScoringConfig:
                 for name, s in t.items()
             }
 
-        try:
+        with decoding("scoring config", ConfigError):
             thresholds = data["thresholds"]
             config = cls(
                 alpha_ml=float(data["alpha_ml"]),
@@ -342,33 +287,17 @@ class ScoringConfig:
                     for c in data["field_criteria"]
                 ),
             )
-        except (KeyError, ValueError, TypeError) as e:
-            raise ConfigError(f"bad scoring config: {e}") from None
-        config.validate()
+            config.validate()
         return config
 
-    @classmethod
-    def from_json(cls, path: str | Path) -> "ScoringConfig":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}:{e.lineno}: {e.msg}") from None
-        return cls.from_dict(data)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-
     def digest(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return json_digest(self.to_dict())
 
 
 def default_scoring_config() -> ScoringConfig:
     """The shipped default configuration (weights, caps, threshold table)."""
-    text = resources.files("airbench.data").joinpath("default_scoring.json").read_text("utf-8")
-    return ScoringConfig.from_dict(json.loads(text))
+    with resources.as_file(resources.files("airbench.data") / "default_scoring.json") as path:
+        return ScoringConfig.from_dict(read_json(path))
 
 
 def classify_criteria(
@@ -428,31 +357,6 @@ def combine_global(score_ml: float, score_ood: float, score_physics: float, conf
     )
 
 
-def global_score(
-    ml: CategoryResult,
-    ood: CategoryResult,
-    physics: CategoryResult,
-    config: ScoringConfig,
-    rejection_reason: str | None = None,
-) -> ScoreReport:
-    """Combine category results into the final report.
-
-    A rejection (training budget exceeded) forces the global score to 0
-    regardless of the category results.
-    """
-    if rejection_reason is not None:
-        return ScoreReport(
-            ml=ml, ood=ood, physics=physics, global_score=0.0,
-            rejected=True, rejection_reason=rejection_reason,
-        )
-    return ScoreReport(
-        ml=ml,
-        ood=ood,
-        physics=physics,
-        global_score=combine_global(ml.score, ood.score, physics.score, config),
-    )
-
-
 def rejected_report(reason: str) -> ScoreReport:
     """A zero-score report for a run rejected before evaluation."""
     return ScoreReport(
@@ -472,7 +376,6 @@ def score_from_values(
     speedup_ml: float,
     speedup_ood: float,
     config: ScoringConfig,
-    rejection_reason: str | None = None,
 ) -> ScoreReport:
     """Full scoring pipeline from raw criterion values and speed-ups."""
     config.validate()
@@ -488,7 +391,12 @@ def score_from_values(
     physics = build_category(
         "physics", classify_criteria(physics_values, config.thresholds_physics, PHYSICS_CRITERIA), config
     )
-    return global_score(ml, ood, physics, config, rejection_reason)
+    return ScoreReport(
+        ml=ml,
+        ood=ood,
+        physics=physics,
+        global_score=combine_global(ml.score, ood.score, physics.score, config),
+    )
 
 
 def criterion_values_from_metrics(metrics: SplitMetrics, names: Sequence[str]) -> dict[str, float]:

@@ -20,17 +20,15 @@ with d the distance to the surface, zero on the surface and decaying far away.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParameterError, SingularityError
-from .io import write_dataset
+from .io import decoding, json_digest, write_dataset, write_json
 from .model import Dataset, FieldSet, Sample, SampleMeta, Split
 
 NU_T_KAPPA = 0.41          # prefactor of the viscosity surrogate
@@ -426,6 +424,9 @@ class GenerationConfig:
     solver_time_s: float = 1500.0
 
     def validate(self) -> None:
+        for name in ("n_train", "n_test", "n_ood", "nodes_per_sample", "seed"):
+            if not isinstance(getattr(self, name), int):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("n_train", "n_test", "n_ood"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -458,57 +459,17 @@ class GenerationConfig:
         if not (self.rho > 0 and self.solver_time_s > 0):
             raise ConfigError("rho and solver_time_s must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "n_ood": self.n_ood,
-            "nodes_per_sample": self.nodes_per_sample,
-            "u_inf_range": list(self.u_inf_range),
-            "u_inf_range_ood": list(self.u_inf_range_ood),
-            "alpha_range_rad": list(self.alpha_range_rad),
-            "camber_range": list(self.camber_range),
-            "thickness_range": list(self.thickness_range),
-            "ood_camber_range": list(self.ood_camber_range) if self.ood_camber_range else None,
-            "ood_thickness_range": (
-                list(self.ood_thickness_range) if self.ood_thickness_range else None
-            ),
-            "seed": self.seed,
-            "rho": self.rho,
-            "normalize_chord": self.normalize_chord,
-            "solver_time_s": self.solver_time_s,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "GenerationConfig":
-        kwargs = dict(data)
-        for key in (
-            "u_inf_range",
-            "u_inf_range_ood",
-            "alpha_range_rad",
-            "camber_range",
-            "thickness_range",
-            "ood_camber_range",
-            "ood_thickness_range",
-        ):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        unknown = set(kwargs) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ConfigError(f"unknown generation config keys: {sorted(unknown)}")
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "GenerationConfig":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}:{e.lineno}: {e.msg}") from None
-        return cls.from_dict(data)
+        """Decode and validate a config's JSON object; JSON's lists become the range tuples."""
+        ranges = {f.name for f in fields(cls) if f.type.startswith("tuple")}
+        with decoding("generation config", ConfigError):
+            config = cls(**{k: tuple(v) if k in ranges and v is not None else v for k, v in dict(data).items()})
+            config.validate()
+        return config
 
     def digest(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return json_digest(asdict(self))
 
 
 _SPLIT_STREAM = {Split.TRAIN: 0, Split.TEST: 1, Split.OOD_TEST: 2}
@@ -567,9 +528,7 @@ def generate_benchmark(config: GenerationConfig, out_dir: str | Path) -> dict[st
     config.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "generation_config.json").write_text(
-        json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / "generation_config.json", asdict(config))
     datasets = {}
     for split in (Split.TRAIN, Split.TEST, Split.OOD_TEST):
         ds = generate_split(config, split)

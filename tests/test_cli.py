@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
 from airbench import (
     PredictorSpec,
+    SplitMetrics,
     default_scoring_config,
     generate_benchmark,
     leaderboard_list,
     run_benchmark,
 )
 from airbench.cli import main
+from airbench.io import write_json
 
 from conftest import TINY_CONFIG
 
@@ -89,7 +93,7 @@ class TestRunBenchmark:
 class TestCli:
     def test_generate_and_run_and_leaderboard(self, tmp_path, capsys):
         gen_cfg = tmp_path / "gen.json"
-        gen_cfg.write_text(json.dumps(TINY_CONFIG.to_dict()))
+        gen_cfg.write_text(json.dumps(asdict(TINY_CONFIG)))
         bench = tmp_path / "bench"
         assert main(["generate", "--config", str(gen_cfg), "--out", str(bench)]) == 0
         out = capsys.readouterr().out
@@ -120,11 +124,11 @@ class TestCli:
     @pytest.mark.parametrize("solver_time_source", ["sample_meta", "constant"])
     def test_evaluate_then_score_matches_run(self, tmp_path, capsys, solver_time_source):
         gen_cfg = tmp_path / "gen.json"
-        gen_cfg.write_text(json.dumps(replace(TINY_CONFIG, solver_time_s=100.0).to_dict()))
+        gen_cfg.write_text(json.dumps(asdict(replace(TINY_CONFIG, solver_time_s=100.0))))
         bench = tmp_path / "bench"
         main(["generate", "--config", str(gen_cfg), "--out", str(bench)])
         score_cfg = tmp_path / "score.json"
-        replace(default_scoring_config(), solver_time_source=solver_time_source).save(score_cfg)
+        write_json(score_cfg, replace(default_scoring_config(), solver_time_source=solver_time_source).to_dict())
         common = ["--config", str(score_cfg), "--fixed-time", "1"]
         capsys.readouterr()
 
@@ -161,7 +165,7 @@ class TestCli:
 
     def test_unknown_predictor_is_validation_error(self, tmp_path, capsys):
         gen_cfg = tmp_path / "gen.json"
-        gen_cfg.write_text(json.dumps(TINY_CONFIG.to_dict()))
+        gen_cfg.write_text(json.dumps(asdict(TINY_CONFIG)))
         bench = tmp_path / "bench"
         main(["generate", "--config", str(gen_cfg), "--out", str(bench)])
         capsys.readouterr()
@@ -170,7 +174,7 @@ class TestCli:
 
     def test_store_env_var(self, tmp_path, capsys, monkeypatch):
         gen_cfg = tmp_path / "gen.json"
-        gen_cfg.write_text(json.dumps(TINY_CONFIG.to_dict()))
+        gen_cfg.write_text(json.dumps(asdict(TINY_CONFIG)))
         bench = tmp_path / "bench"
         main(["generate", "--config", str(gen_cfg), "--out", str(bench)])
         store = tmp_path / "env-store.jsonl"
@@ -185,7 +189,7 @@ class TestCli:
 
     def test_failing_external_predictor_exit_code(self, tmp_path, capsys):
         gen_cfg = tmp_path / "gen.json"
-        gen_cfg.write_text(json.dumps(TINY_CONFIG.to_dict()))
+        gen_cfg.write_text(json.dumps(asdict(TINY_CONFIG)))
         bench = tmp_path / "bench"
         main(["generate", "--config", str(gen_cfg), "--out", str(bench)])
         capsys.readouterr()
@@ -194,3 +198,96 @@ class TestCli:
             "--bench", str(bench), "--out", str(tmp_path / "r"),
         ])
         assert rc == 3
+
+
+# sha256 of what `run --predictor oracle --fixed-time 1 --no-timestamp` writes on
+# the toy bench, and the digest of the shipped scoring config. The oracle's
+# values are exact (zero errors, rank correlation 1, speed-up 10 * 1500 / 1),
+# so these bytes do not depend on the platform's libm.
+PINNED_ORACLE_RUN = {
+    "metrics.json": "430aedd76d3f076e5718897c02a234af29b9b6e6fdc9929f5ea794d1ee62c55b",
+    "score_report.json": "8050e86a0053d4307246cdb572274ac0efe33c8dfc606e1a68dcc23bd78c6eb2",
+    "report.txt": "a9e6a6c93448a36bba3319f30740f12d4880dba44e20477f227653e9b17880fa",
+}
+PINNED_SCORING_CONFIG_DIGEST = "7da05761255d3962c84aaddec0ec6ad5b154131545411aa7bfc67a4e476882ed"
+
+
+def test_oracle_run_bytes_are_pinned(toy_bench_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main([
+        "run", "--predictor", "oracle", "--bench", str(toy_bench_dir), "--out", str(out),
+        "--store", str(tmp_path / "lb.jsonl"), "--fixed-time", "1", "--no-timestamp",
+    ])
+    assert rc == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_ORACLE_RUN}
+    assert got == PINNED_ORACLE_RUN
+    assert default_scoring_config().digest() == PINNED_SCORING_CONFIG_DIGEST
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _metrics_without_ood(bench, tmp):
+    doc = {"test": asdict(SplitMetrics(total_inference_time_s=1.0, total_solver_time_s=1.0))}
+    return ["score", "--metrics", _write(tmp / "m.json", json.dumps(doc))]
+
+
+def _metrics_not_json(bench, tmp):
+    return ["score", "--metrics", _write(tmp / "m.json", "test: 0\n")]
+
+
+def _report_category_without_name(bench, tmp):
+    return ["report", _write(tmp / "r.json", json.dumps({"ml": {}}))]
+
+
+def _bench_with(name, edit):
+    def argv(bench, tmp):
+        copy = tmp / "bench"
+        shutil.copytree(bench, copy)
+        path = copy / "test" / name
+        doc = json.loads(path.read_text())
+        edit(doc)
+        _write(path, json.dumps(doc))
+        return ["evaluate", "--predictor", "constant", "--bench", str(copy), "--out", str(tmp / "out")]
+
+    return argv
+
+
+def _scoring_config_with_ml_table(table):
+    def argv(bench, tmp):
+        doc = default_scoring_config().to_dict()
+        doc["thresholds"]["ml"] = table
+        config = _write(tmp / "s.json", json.dumps(doc))
+        return ["evaluate", "--predictor", "oracle", "--bench", str(bench), "--out", str(tmp / "out"),
+                "--config", config]
+
+    return argv
+
+
+def _generation_config(doc):
+    def argv(bench, tmp):
+        return ["generate", "--config", _write(tmp / "g.json", json.dumps(doc)), "--out", str(tmp / "g")]
+
+    return argv
+
+
+MALFORMED = {
+    "score-metrics-without-ood": _metrics_without_ood,
+    "score-metrics-not-json": _metrics_not_json,
+    "report-category-without-name": _report_category_without_name,
+    "meta-json-without-meta": _bench_with("samples/test-0000.meta.json", lambda doc: doc.pop("meta")),
+    "meta-json-without-rho": _bench_with("samples/test-0000.meta.json", lambda doc: doc["meta"].pop("rho")),
+    "manifest-entry-without-id": _bench_with("manifest.json", lambda doc: doc["samples"][0].pop("id")),
+    "scoring-config-table-not-object": _scoring_config_with_ml_table([1]),
+    "generate-n-train-string": _generation_config({"n_train": "3"}),
+    "generate-range-number": _generation_config({"u_inf_range": 5}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_validation_error(bench, tmp_path, capsys, case):
+    rc = main(MALFORMED[case](bench, tmp_path))
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("airbench: ")

@@ -192,7 +192,7 @@ class TestExternalProtocolSelfTest:
             PredictorSpec(label="builtin", builtin="constant"),
             small_bench, cfg, out_dir=tmp_path / "builtin", fixed_inference_time_s=1.0,
         )
-        assert ext_report.to_dict() == builtin_report.to_dict()
+        assert ext_report == builtin_report
 
 
 class TestSolverTimeSource:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +124,7 @@ def test_pinned_digest_of_default_count_train_split(tmp_path):
 )
 def test_pinned_digest_holds_across_simd_dispatch_levels(tmp_path):
     src = str(Path(airbench.__file__).resolve().parents[1])
-    config = json.dumps(PINNED_TRAIN_DIGEST_CONFIG.to_dict())
+    config = json.dumps(asdict(PINNED_TRAIN_DIGEST_CONFIG))
     digests = {}
     for i, disabled in enumerate(_dispatch_settings()):
         env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)

@@ -293,7 +293,7 @@ class TestEvaluateSplit:
         m1 = evaluate_split(ds, preds)
         shuffled = Dataset(split=ds.split, samples=list(reversed(ds.samples)))
         m2 = evaluate_split(shuffled, list(reversed(preds)))
-        assert m1.to_dict() == m2.to_dict()
+        assert m1 == m2
 
     def test_surface_subset_differs_from_volume(self):
         ds = _toy_dataset(n=2)

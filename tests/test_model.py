@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from airbench import (
+    Dataset,
     FieldSet,
     Prediction,
     Sample,
     SampleMeta,
+    Split,
     polygon_is_simple,
     sample_point_cloud,
-    validate_prediction,
     validate_sample,
 )
 
@@ -150,25 +153,13 @@ class TestImmutability:
         assert make_square_sample() == make_square_sample()
         assert make_square_sample() != make_square_sample(id="other")
 
-
-class TestValidatePrediction:
-    def test_clean(self):
+    def test_equality_compares_every_field(self):
         s = make_square_sample()
-        p = Prediction(sample_id="sq", fields=s.truth_fields)
-        assert validate_prediction(p, s) == []
-
-    def test_nan_allowed_in_predictions(self):
-        s = make_square_sample()
-        f = FieldSet(u_x=np.full(6, np.nan), u_y=np.zeros(6), p_s=np.zeros(6), nu_t=np.zeros(6))
-        assert validate_prediction(Prediction(sample_id="sq", fields=f), s) == []
-
-    def test_wrong_length_flagged(self):
-        s = make_square_sample()
-        f = FieldSet(u_x=np.zeros(5), u_y=np.zeros(6), p_s=np.zeros(6), nu_t=np.zeros(6))
-        msgs = validate_prediction(Prediction(sample_id="sq", fields=f), s)
-        assert any("u_x" in m for m in msgs)
-
-    def test_id_mismatch(self):
-        s = make_square_sample()
-        msgs = validate_prediction(Prediction(sample_id="zz", fields=s.truth_fields), s)
-        assert any("does not match" in m for m in msgs)
+        assert make_square_sample(meta=replace(s.meta, rho=2.0)) != s
+        assert make_square_sample(surface_order=s.surface_order.astype(np.int32)) == s  # frozen as int64
+        nan = dict(u_x=np.full(6, np.nan), u_y=np.zeros(6), p_s=np.zeros(6), nu_t=np.zeros(6))
+        assert Prediction("sq", FieldSet(**nan)) == Prediction("sq", FieldSet(**nan))
+        assert Prediction("sq", FieldSet(**nan)) != Prediction("sq", s.truth_fields)
+        assert Dataset(Split.TEST, [s]) == Dataset(Split.TEST, [make_square_sample()])
+        assert Dataset(Split.TEST, [s]) != Dataset(Split.TEST, [s, s])
+        assert Dataset(Split.TEST, [s]) != Dataset(Split.OOD_TEST, [s])

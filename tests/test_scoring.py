@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,9 @@ from airbench import (
     score_from_values,
     speed_score,
 )
+from airbench.harness import read_score_report, write_score_report
+from airbench.io import read_json, write_json
+from airbench.scoring import rejected_report
 
 G, A, U = Classification.GREAT, Classification.ACCEPTABLE, Classification.UNACCEPTABLE
 
@@ -220,11 +226,10 @@ class TestScoreFromValues:
         assert report.physics.counts() == (0, 2, 2)
 
     def test_rejection_zeroes_global(self):
-        ml, ood, ph = _table_values()
-        report = score_from_values(
-            ml, ood, ph, 750.0, 750.0, default_scoring_config(), rejection_reason="budget"
-        )
+        report = rejected_report("training budget exceeded (2 s)")
         assert report.rejected and report.global_score == 0.0
+        assert report.rejection_reason == "training budget exceeded (2 s)"
+        assert [c.criteria for c in (report.ml, report.ood, report.physics)] == [[], [], []]
 
     def test_nan_metric_is_scored_not_raised(self):
         ml, ood, ph = _table_values()
@@ -333,14 +338,26 @@ class TestScoringConfig:
     def test_json_roundtrip(self, tmp_path):
         cfg = default_scoring_config()
         path = tmp_path / "scoring.json"
-        cfg.save(path)
-        back = ScoringConfig.from_json(path)
+        write_json(path, cfg.to_dict())
+        back = ScoringConfig.from_dict(read_json(path))
         assert back == cfg
         assert back.digest() == cfg.digest()
 
     def test_report_dict_roundtrip(self):
         ml, ood, ph = _table_values()
         report = score_from_values(ml, ood, ph, 750.0, 750.0, default_scoring_config())
-        back = ScoreReport.from_dict(report.to_dict())
-        assert back.to_dict() == report.to_dict()
-        assert back.global_score == report.global_score
+        back = ScoreReport.from_dict(json.loads(json.dumps(asdict(report))))
+        assert back == report
+        assert back.ml.criteria[0].classification is report.ml.criteria[0].classification
+
+    @pytest.mark.parametrize("kind", ["nan-criterion", "rejected"])
+    def test_report_file_roundtrip_keeps_bytes(self, tmp_path, kind):
+        if kind == "rejected":
+            report = rejected_report("training budget exceeded (2 s)")
+        else:
+            ml, ood, ph = _table_values()
+            report = score_from_values(dict(ml, u_x=float("nan")), ood, ph, 750.0, 750.0,
+                                       default_scoring_config())
+        write_score_report(report, tmp_path / "a.json")
+        write_score_report(read_score_report(tmp_path / "a.json"), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
