@@ -53,15 +53,12 @@ from .synthflow import (
     velocity_at,
 )
 from .metrics import (
-    CoefficientSeries,
     FieldCriterion,
     SplitMetrics,
-    coefficient_series,
     evaluate_split,
     field_error,
     force_coefficients,
     mean_relative_error,
-    spearman,
     spearman_with_flag,
 )
 from .scoring import (

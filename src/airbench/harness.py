@@ -26,6 +26,7 @@ from .baselines import resolve_builtin
 from .errors import ConfigError, FormatError, InferenceError, ParameterError, TrainingError
 from .io import (
     dataset_digest,
+    decode,
     decoding,
     read_dataset,
     read_json,
@@ -71,7 +72,7 @@ class PredictorSpec:
     training_command: list[str] | None = None
     training_budget_s: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if (self.builtin is None) == (self.command is None):
             raise ConfigError("predictor spec needs exactly one of builtin or command")
         if self.command is not None and len(self.command) == 0:
@@ -107,7 +108,6 @@ def run_training(
     different thing than a budget rejection. Builtin fits run in-process and
     are rejected after the fact if they took too long.
     """
-    spec.validate()
     if spec.command is not None:
         if spec.training_command is None:
             return TrainingOutcome(status="trained", elapsed_s=0.0)
@@ -166,7 +166,6 @@ def run_inference(
     outside it. With repeat > 1 the measurement is the minimum over
     repetitions. Returns the measured seconds and the verified predictions.
     """
-    spec.validate()
     if repeat < 1:
         raise ConfigError(f"repeat must be >= 1, got {repeat}")
     pred_dir = Path(pred_dir)
@@ -256,8 +255,8 @@ def leaderboard_list(store_path: str | Path) -> list[LeaderboardEntry]:
         if not line.strip():
             continue
         try:
-            entries.append(LeaderboardEntry(**json.loads(line)))
-        except (json.JSONDecodeError, TypeError) as e:
+            entries.append(decode(LeaderboardEntry, json.loads(line), "entry"))
+        except (json.JSONDecodeError, FormatError) as e:
             logger.warning("%s:%d: skipping corrupt leaderboard line (%s)", store_path, lineno, e)
     entries.sort(key=lambda e: (-e.global_score, e.timestamp))
     return entries
@@ -276,9 +275,9 @@ def write_metrics(split_metrics: dict[str, SplitMetrics], path: str | Path) -> N
 
 def read_metrics(path: str | Path) -> dict[str, SplitMetrics]:
     """Read the test and OOD metrics back from a ``metrics.json``."""
-    doc = read_json(path)
+    doc = decode(dict[str, SplitMetrics], read_json(path), path)
     with decoding(path):
-        return {name: SplitMetrics(**doc[name]) for name in SCORED_SPLITS}
+        return {name: doc[name] for name in SCORED_SPLITS}
 
 
 def write_score_report(report: ScoreReport, path: str | Path) -> None:
@@ -288,9 +287,7 @@ def write_score_report(report: ScoreReport, path: str | Path) -> None:
 
 def read_score_report(path: str | Path) -> ScoreReport:
     """Read a ``score_report.json`` back."""
-    doc = read_json(path)
-    with decoding(path):
-        return ScoreReport.from_dict(doc)
+    return decode(ScoreReport, read_json(path), path)
 
 
 def evaluate_benchmark(
@@ -377,8 +374,6 @@ def run_benchmark(
     directory when None). When `store_path` is given the resulting entry is
     appended there.
     """
-    spec.validate()
-    config.validate()
     bench_dir = Path(bench_dir)
     for name in ("train", *SCORED_SPLITS):
         if not (bench_dir / name / "manifest.json").exists():
@@ -429,7 +424,7 @@ def run_benchmark(
             tmp.cleanup()
 
 
-_CATEGORY_TITLES = {"ml": "ML-related", "ood": "OOD generalization", "physics": "Physics"}
+_CATEGORY_TITLES = ("ML-related", "OOD generalization", "Physics")
 
 
 def render_report(report: ScoreReport, label: str | None = None) -> str:
@@ -440,11 +435,11 @@ def render_report(report: ScoreReport, label: str | None = None) -> str:
     if report.rejected:
         lines.append(f"REJECTED: {report.rejection_reason}")
     lines.append(f"global score: {report.global_score:.6f} ({100.0 * report.global_score:.1f}%)")
-    for cat in (report.ml, report.ood, report.physics):
+    for title, cat in zip(_CATEGORY_TITLES, (report.ml, report.ood, report.physics)):
         if not cat.criteria:
             continue
         lines.append("")
-        head = f"{_CATEGORY_TITLES[cat.name]}: score {cat.score:.6f}  accuracy {cat.accuracy:.6f}"
+        head = f"{title}: score {cat.score:.6f}  accuracy {cat.accuracy:.6f}"
         if cat.speed is not None:
             head += f"  speed {cat.speed:.6f}  speedup {cat.speedup:.3f}"
         lines.append(head)

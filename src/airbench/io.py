@@ -17,10 +17,16 @@ twice yields byte-identical files.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
-from dataclasses import asdict, fields
+import re
+import reprlib
+import types
+import typing
+from dataclasses import MISSING, asdict, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +66,88 @@ def read_json(path: str | Path):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}:{e.lineno}: {e.msg}") from None
+
+
+class _Refused(Exception):
+    """A JSON value `decode` refuses, with the field path it sits at."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"{path}: {reason}" if path else reason)
+
+
+@functools.cache
+def _field_types(cls) -> dict[str, tuple[object, bool]]:
+    """Each init field of the record `cls`: its resolved type and whether it has a default."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default is not MISSING or f.default_factory is not MISSING)
+        for f in fields(cls)
+        if f.init
+    }
+
+
+def _decode(tp, value, path: str):
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise _Refused(path, f"expected an object, got {reprlib.repr(value)}")
+        declared = _field_types(tp)
+        for key in value:
+            if key not in declared:
+                raise _Refused(path, f"unknown key {key!r}")
+        kwargs = {}
+        for name, (ftype, has_default) in declared.items():
+            if name in value:
+                kwargs[name] = _decode(ftype, value[name], f"{path}.{name}" if path else name)
+            elif not has_default:
+                raise _Refused(path, f"missing key {name!r}")
+        try:
+            return tp(**kwargs)
+        except AirbenchError as e:
+            raise _Refused(path, str(e)) from None
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        for member in tp:
+            if type(member.value) is type(value) and member.value == value:
+                return member
+    elif tp is float:
+        if type(value) in (int, float):
+            return float(value)
+    elif tp in (int, bool, str):
+        if type(value) is tp:
+            return value
+    else:
+        origin, args = typing.get_origin(tp), typing.get_args(tp)
+        if origin in (types.UnionType, typing.Union) and type(None) in args:
+            if value is None:
+                return None
+            (inner,) = [a for a in args if a is not type(None)]
+            return _decode(inner, value, path)
+        if origin is dict and isinstance(value, dict):
+            return {k: _decode(args[1], v, f"{path}.{k}" if path else k) for k, v in value.items()}
+        if origin in (list, tuple) and isinstance(value, list):
+            if origin is list or args[1:] == (...,):
+                args = args[:1] * len(value)
+            if len(args) == len(value):
+                items = [_decode(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, value))]
+                return items if origin is list else tuple(items)
+    name = tp.__name__ if isinstance(tp, type) else re.sub(r"[\w.]+\.", "", str(tp))
+    raise _Refused(path, f"expected {name}, got {reprlib.repr(value)}")
+
+
+def decode(tp, value, source: str | Path, error: type[AirbenchError] = FormatError):
+    """Build a value of type `tp` from parsed JSON, checking it against the declared types.
+
+    `tp` is a dataclass record or a type built from records, enums (by
+    value), ``float``, ``int``, ``bool``, ``str``, ``X | None``,
+    ``dict[str, X]``, ``list[X]`` and tuples (fixed length or ``tuple[X, ...]``,
+    from JSON lists). A JSON integer is taken as a float; a bool is never a
+    number. A record's key may be left out only where its field has a
+    default, and a record that refuses its values on construction is refused
+    too. Anything else raises `error` naming `source` and the field path.
+    """
+    try:
+        return _decode(tp, value, "")
+    except _Refused as e:
+        raise error(f"{source}: {e}") from None
 
 
 @contextlib.contextmanager
@@ -135,21 +223,16 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> None:
     write_json(directory / "manifest.json", manifest)
 
 
-def _parse_sample_csv(path: Path) -> np.ndarray:
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != SAMPLE_CSV_HEADER:
-                raise FormatError(f"{path}:1: bad header {header!r}")
-            try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as e:
-                raise FormatError(f"{path}: {e}") from None
-    except FileNotFoundError:
-        raise FormatError(f"missing sample file: {path}") from None
-    if data.size and data.shape[1] != 10:
-        raise FormatError(f"{path}: expected 10 columns, got {data.shape[1]}")
-    return data
+def _read_csv(path: Path, header: str) -> np.ndarray:
+    """The rows under `header` as a 2-D float array; a wrong header or a bad row raises FormatError."""
+    with path.open("r", encoding="utf-8") as fh:
+        found = fh.readline().rstrip("\n")
+        if found != header:
+            raise FormatError(f"{path}:1: bad header {found!r}")
+        try:
+            return np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as e:
+            raise FormatError(f"{path}: {e}") from None
 
 
 def _entry_paths(directory: Path, entry: dict) -> list[Path]:
@@ -187,10 +270,11 @@ def read_dataset(directory: str | Path) -> Dataset:
         csv_path, meta_path = _entry_paths(directory, entry)
         if not csv_path.exists():
             raise FormatError(f"manifest references missing sample file for id {sid!r}")
-        data = _parse_sample_csv(csv_path)
+        data = _read_csv(csv_path, SAMPLE_CSV_HEADER)
+        if data.size and data.shape[1] != 10:
+            raise FormatError(f"{csv_path}: expected 10 columns, got {data.shape[1]}")
         sidecar = read_json(meta_path)
         with decoding(meta_path):
-            meta = sidecar["meta"]
             sample = Sample(
                 id=sid,
                 positions=data[:, 0:2],
@@ -202,7 +286,7 @@ def read_dataset(directory: str | Path) -> Dataset:
                 truth_fields=FieldSet(
                     u_x=data[:, 6], u_y=data[:, 7], p_s=data[:, 8], nu_t=data[:, 9]
                 ),
-                meta=SampleMeta(**{f.name: float(meta[f.name]) for f in fields(SampleMeta)}),
+                meta=decode(SampleMeta, sidecar["meta"], meta_path),
             )
         samples.append(sample)
 
@@ -240,14 +324,7 @@ def read_predictions(pred_dir: str | Path, dataset: Dataset) -> list[Prediction]
     predictions = []
     for sample in dataset.samples:
         path = pred_dir / f"{sample.id}.csv"
-        with path.open("r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != PRED_CSV_HEADER:
-                raise FormatError(f"{path}:1: bad header {header!r}")
-            try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as e:
-                raise FormatError(f"{path}: {e}") from None
+        data = _read_csv(path, PRED_CSV_HEADER)
         if data.size == 0:
             data = data.reshape(0, 4)
         if data.shape[1] != 4:

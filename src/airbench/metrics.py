@@ -10,11 +10,11 @@ across a split feed a mean relative error and a Spearman rank correlation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, GeometryError, ShapeError
+from .errors import DomainError, GeometryError, ShapeError
 from .model import Dataset, FieldSet, Prediction, Sample
 from .model import polygon_is_simple  # unused here; perfbench/layers.py patches this name
 
@@ -77,11 +77,6 @@ def spearman_with_flag(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
     return min(1.0, max(-1.0, rho)), False
 
 
-def spearman(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman rank correlation in [-1, 1]; 0 for a degenerate constant series."""
-    return spearman_with_flag(x, y)[0]
-
-
 def force_coefficients(sample: Sample, fields: FieldSet) -> tuple[float, float]:
     """Drag and lift coefficients from surface-pressure integration.
 
@@ -93,20 +88,17 @@ def force_coefficients(sample: Sample, fields: FieldSet) -> tuple[float, float]:
     before integrating: on a closed contour that is analytically a no-op, and
     it makes a uniform pressure field integrate to exactly zero force.
 
-    The sample must satisfy `validate_sample` (as every sample `read_dataset`
-    returns does), so its contour is a simple closed polygon; only the
-    node-count and repeat checks are made here.
+    The sample must satisfy `validate_sample` and `fields` must hold one
+    value per node (as `read_dataset` and `read_predictions` guarantee), so
+    the contour is a simple closed polygon through distinct nodes; only its
+    node count is checked here, since `validate_sample` accepts 3 nodes.
     """
     order = sample.surface_order
     if len(order) < 8:
         raise GeometryError(f"need at least 8 surface nodes, got {len(order)}")
-    if len(np.unique(order)) != len(order):
-        raise GeometryError("surface contour repeats a node")
     poly = sample.positions[order]
 
-    p = np.asarray(fields.p_s, dtype=np.float64)
-    if p.shape != (sample.n_nodes,):
-        raise ShapeError(f"p_s has shape {p.shape}, expected ({sample.n_nodes},)")
+    p = fields.p_s
     ps = p[order] - p[order[0]]
     x, y = poly[:, 0], poly[:, 1]
     dx = np.roll(x, -1) - x
@@ -124,45 +116,6 @@ def force_coefficients(sample: Sample, fields: FieldSet) -> tuple[float, float]:
     c_d = (fx * e_inf[0] + fy * e_inf[1]) / q
     c_l = (-fx * e_inf[1] + fy * e_inf[0]) / q
     return c_d, c_l
-
-
-@dataclass
-class CoefficientSeries:
-    """Per-sample true and predicted force coefficients, sorted by sample id."""
-
-    sample_ids: list[str]
-    cd_true: np.ndarray
-    cd_pred: np.ndarray
-    cl_true: np.ndarray
-    cl_pred: np.ndarray
-
-
-def coefficient_series(dataset: Dataset, predictions: list[Prediction]) -> CoefficientSeries:
-    """True and predicted coefficients per sample via the same post-treatment."""
-    by_id = {p.sample_id: p for p in predictions}
-    missing = [s.id for s in dataset.samples if s.id not in by_id]
-    if missing:
-        raise CoverageError(f"missing predictions for sample ids: {missing}")
-    extra = sorted(set(by_id) - {s.id for s in dataset.samples})
-    if extra:
-        raise CoverageError(f"predictions for unknown sample ids: {extra}")
-
-    ids, cdt, cdp, clt, clp = [], [], [], [], []
-    for sample in sorted(dataset.samples, key=lambda s: s.id):
-        d_true, l_true = force_coefficients(sample, sample.truth_fields)
-        d_pred, l_pred = force_coefficients(sample, by_id[sample.id].fields)
-        ids.append(sample.id)
-        cdt.append(d_true)
-        cdp.append(d_pred)
-        clt.append(l_true)
-        clp.append(l_pred)
-    return CoefficientSeries(
-        sample_ids=ids,
-        cd_true=np.array(cdt),
-        cd_pred=np.array(cdp),
-        cl_true=np.array(clt),
-        cl_pred=np.array(clp),
-    )
 
 
 def mean_relative_error(pred_series: np.ndarray, true_series: np.ndarray) -> float:
@@ -190,7 +143,7 @@ class FieldCriterion:
     subset: str = "all"
     normalization: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.channel not in FieldSet.CHANNELS:
             raise ShapeError(f"criterion {self.name!r}: unknown channel {self.channel!r}")
         if self.kind not in ("mae", "rmse"):
@@ -212,17 +165,17 @@ DEFAULT_FIELD_CRITERIA = (
 
 @dataclass
 class SplitMetrics:
-    """All raw criterion values for one dataset split."""
+    """All raw criterion values for one dataset split; ``metrics.json`` must hold every one."""
 
-    field_errors: dict[str, float] = field(default_factory=dict)
-    c_d_rel_err: float = 0.0
-    c_l_rel_err: float = 0.0
-    spearman_d: float = 0.0
-    spearman_l: float = 0.0
-    spearman_d_degenerate: bool = False
-    spearman_l_degenerate: bool = False
-    total_inference_time_s: float = 0.0
-    total_solver_time_s: float = 0.0
+    field_errors: dict[str, float]
+    c_d_rel_err: float
+    c_l_rel_err: float
+    spearman_d: float
+    spearman_l: float
+    spearman_d_degenerate: bool
+    spearman_l_degenerate: bool
+    total_inference_time_s: float
+    total_solver_time_s: float
 
 
 def evaluate_split(
@@ -233,48 +186,40 @@ def evaluate_split(
 ) -> SplitMetrics:
     """Compute every raw criterion for one split.
 
-    Requires one prediction per sample. Field errors pool nodes over the
-    whole split; coefficient statistics run over the per-sample series.
-    A series too short for a rank correlation (fewer than 2 samples) is
-    flagged degenerate and scored 0. Results do not depend on the order of
-    `dataset.samples` or `predictions`.
+    Requires exactly one prediction per sample, each with one value per node
+    (as `read_predictions` returns them). Field errors pool nodes over the
+    whole split; coefficient statistics run over the per-sample drag and
+    lift series. A series too short for a rank correlation (fewer than 2
+    samples) is flagged degenerate and scored 0. Results do not depend on
+    the order of `dataset.samples` or `predictions`.
     """
-    for c in criteria:
-        c.validate()
-    by_id = {p.sample_id: p for p in predictions}
-    missing = [s.id for s in dataset.samples if s.id not in by_id]
-    if missing:
-        raise CoverageError(f"missing predictions for sample ids: {missing}")
+    by_id = {p.sample_id: p.fields for p in predictions}
     samples = sorted(dataset.samples, key=lambda s: s.id)
-    for s in samples:
-        f = by_id[s.id].fields
-        for ch in FieldSet.CHANNELS:
-            if f.channel(ch).shape != (s.n_nodes,):
-                raise ShapeError(
-                    f"sample {s.id!r}: predicted {ch} has shape {f.channel(ch).shape}, "
-                    f"expected ({s.n_nodes},)"
-                )
+    preds = [by_id[s.id] for s in samples]
 
     field_errors = {}
     for crit in criteria:
         masks = [s.is_surface if crit.subset == "surface" else slice(None) for s in samples]
-        pred = np.concatenate([by_id[s.id].fields.channel(crit.channel)[m] for s, m in zip(samples, masks)])
+        pred = np.concatenate([f.channel(crit.channel)[m] for f, m in zip(preds, masks)])
         truth = np.concatenate([s.truth_fields.channel(crit.channel)[m] for s, m in zip(samples, masks)])
         err = field_error(pred, truth, crit.kind)
         field_errors[crit.name] = err / crit.normalization
 
-    series = coefficient_series(dataset, predictions)
-    if len(series.sample_ids) < 2:
+    coefficients = [
+        (*force_coefficients(s, s.truth_fields), *force_coefficients(s, f)) for s, f in zip(samples, preds)
+    ]
+    cd_true, cl_true, cd_pred, cl_pred = np.array(coefficients).T
+    if len(samples) < 2:
         rho_d, deg_d = 0.0, True
         rho_l, deg_l = 0.0, True
     else:
-        rho_d, deg_d = spearman_with_flag(series.cd_true, series.cd_pred)
-        rho_l, deg_l = spearman_with_flag(series.cl_true, series.cl_pred)
+        rho_d, deg_d = spearman_with_flag(cd_true, cd_pred)
+        rho_l, deg_l = spearman_with_flag(cl_true, cl_pred)
 
     return SplitMetrics(
         field_errors=field_errors,
-        c_d_rel_err=mean_relative_error(series.cd_pred, series.cd_true),
-        c_l_rel_err=mean_relative_error(series.cl_pred, series.cl_true),
+        c_d_rel_err=mean_relative_error(cd_pred, cd_true),
+        c_l_rel_err=mean_relative_error(cl_pred, cl_true),
         spearman_d=rho_d,
         spearman_l=rho_l,
         spearman_d_degenerate=deg_d,

@@ -301,8 +301,8 @@ def validate_sample(sample: Sample) -> list[str]:
 
 
 def validate_dataset(dataset: Dataset) -> list[str]:
-    """Dataset-level invariants plus every per-sample violation."""
-    v = []
+    """Dataset-level invariants plus every per-sample violation; a split needs a sample."""
+    v = [] if dataset.samples else ["dataset: no samples"]
     ids = dataset.sample_ids()
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})

@@ -23,8 +23,8 @@ from importlib import resources
 from typing import Mapping, Sequence
 
 from .errors import ConfigError, DomainError
-from .io import decoding, json_digest, read_json
-from .metrics import DEFAULT_FIELD_CRITERIA, FieldCriterion, SplitMetrics
+from .io import decode, decoding, json_digest, read_json
+from .metrics import FieldCriterion, SplitMetrics
 
 ML_CRITERIA = ("u_x", "u_y", "p", "nu_t", "p_s")
 PHYSICS_CRITERIA = ("C_D", "C_L", "rho_D", "rho_L")
@@ -52,9 +52,9 @@ class ThresholdSpec:
 
     t1: float
     t2: float
-    direction: Direction = Direction.MIN
+    direction: Direction
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (math.isfinite(self.t1) and math.isfinite(self.t2) and self.t1 < self.t2):
             raise ConfigError(f"thresholds must satisfy t1 < t2, got {self.t1}, {self.t2}")
 
@@ -143,6 +143,10 @@ class CategoryResult:
     speed: float | None = None
     score: float = 0.0
 
+    def __post_init__(self):
+        if (self.speed is None) != (self.speedup is None):
+            raise DomainError(f"category {self.name!r}: a speed score goes with a speed-up")
+
     def counts(self) -> tuple[int, int, int]:
         ng = sum(1 for c in self.criteria if c.classification is Classification.GREAT)
         no = sum(1 for c in self.criteria if c.classification is Classification.ACCEPTABLE)
@@ -164,39 +168,26 @@ class ScoreReport:
     rejected: bool = False
     rejection_reason: str | None = None
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScoreReport":
-        """Decode ``dataclasses.asdict`` output read back from JSON."""
-
-        def category(d: dict) -> CategoryResult:
-            criteria = [
-                CriterionResult(**{**r, "classification": Classification(r["classification"])})
-                for r in d["criteria"]
-            ]
-            return CategoryResult(**{**d, "criteria": criteria})
-
-        return cls(**{**data, **{name: category(data[name]) for name in ("ml", "ood", "physics")}})
-
 
 @dataclass(frozen=True)
 class ScoringConfig:
     """Weights, speed-up cap, training budget, and per-criterion thresholds."""
 
-    alpha_ml: float = 0.4
-    alpha_ood: float = 0.3
-    alpha_ph: float = 0.3
-    alpha_a: float = 0.75
-    alpha_s: float = 0.25
-    speedup_max: float = 10000.0
-    training_budget_s: float = 259200.0  # 72 hours
+    alpha_ml: float
+    alpha_ood: float
+    alpha_ph: float
+    alpha_a: float
+    alpha_s: float
+    speedup_max: float
+    training_budget_s: float
+    thresholds_ml: dict[str, ThresholdSpec]
+    thresholds_ood: dict[str, ThresholdSpec]
+    thresholds_physics: dict[str, ThresholdSpec]
+    field_criteria: tuple[FieldCriterion, ...]
     solver_time_source: str = "sample_meta"  # or "constant"
     solver_time_constant_s: float = 1500.0
-    thresholds_ml: Mapping[str, ThresholdSpec] = field(default_factory=dict)
-    thresholds_ood: Mapping[str, ThresholdSpec] = field(default_factory=dict)
-    thresholds_physics: Mapping[str, ThresholdSpec] = field(default_factory=dict)
-    field_criteria: tuple[FieldCriterion, ...] = DEFAULT_FIELD_CRITERIA
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if abs(self.alpha_ml + self.alpha_ood + self.alpha_ph - 1.0) > 1e-12:
             raise ConfigError("category weights must sum to 1")
         if abs(self.alpha_a + self.alpha_s - 1.0) > 1e-12:
@@ -218,16 +209,12 @@ class ScoringConfig:
                 raise ConfigError(
                     f"{label} thresholds must cover exactly {sorted(names)}, got {sorted(table)}"
                 )
-            for spec in table.values():
-                spec.validate()
         crit_names = [c.name for c in self.field_criteria]
         if sorted(crit_names) != sorted(ML_CRITERIA):
             raise ConfigError(f"field criteria must be exactly {sorted(ML_CRITERIA)}")
-        for c in self.field_criteria:
-            c.validate()
 
     def to_dict(self) -> dict:
-        def table(t: Mapping[str, ThresholdSpec]) -> dict:
+        def table(t: dict[str, ThresholdSpec]) -> dict:
             return {
                 name: {"t1": s.t1, "t2": s.t2, "direction": s.direction.value}
                 for name, s in sorted(t.items())
@@ -253,42 +240,11 @@ class ScoringConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoringConfig":
-        def table(t: dict) -> dict[str, ThresholdSpec]:
-            return {
-                name: ThresholdSpec(
-                    t1=float(s["t1"]), t2=float(s["t2"]), direction=Direction(s["direction"])
-                )
-                for name, s in t.items()
-            }
-
+        """Decode a config's JSON object, whose ``thresholds`` object holds the three tables."""
         with decoding("scoring config", ConfigError):
-            thresholds = data["thresholds"]
-            config = cls(
-                alpha_ml=float(data["alpha_ml"]),
-                alpha_ood=float(data["alpha_ood"]),
-                alpha_ph=float(data["alpha_ph"]),
-                alpha_a=float(data["alpha_a"]),
-                alpha_s=float(data["alpha_s"]),
-                speedup_max=float(data["speedup_max"]),
-                training_budget_s=float(data["training_budget_s"]),
-                solver_time_source=data.get("solver_time_source", "sample_meta"),
-                solver_time_constant_s=float(data.get("solver_time_constant_s", 1500.0)),
-                thresholds_ml=table(thresholds["ml"]),
-                thresholds_ood=table(thresholds["ood"]),
-                thresholds_physics=table(thresholds["physics"]),
-                field_criteria=tuple(
-                    FieldCriterion(
-                        name=c["name"],
-                        channel=c["channel"],
-                        kind=c.get("kind", "mae"),
-                        subset=c.get("subset", "all"),
-                        normalization=float(c.get("normalization", 1.0)),
-                    )
-                    for c in data["field_criteria"]
-                ),
-            )
-            config.validate()
-        return config
+            doc = dict(data)
+            doc.update({f"thresholds_{name}": t for name, t in doc.pop("thresholds").items()})
+        return decode(cls, doc, "scoring config", ConfigError)
 
     def digest(self) -> str:
         return json_digest(self.to_dict())
@@ -378,7 +334,6 @@ def score_from_values(
     config: ScoringConfig,
 ) -> ScoreReport:
     """Full scoring pipeline from raw criterion values and speed-ups."""
-    config.validate()
     ml = build_category(
         "ml", classify_criteria(ml_values, config.thresholds_ml, ML_CRITERIA), config, speedup_ml
     )

@@ -21,14 +21,14 @@ with d the distance to the surface, zero on the surface and decaying far away.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParameterError, SingularityError
-from .io import decoding, json_digest, write_dataset, write_json
+from .io import decode, json_digest, write_dataset, write_json
 from .model import Dataset, FieldSet, Sample, SampleMeta, Split
 
 NU_T_KAPPA = 0.41          # prefactor of the viscosity surrogate
@@ -58,7 +58,7 @@ class JoukowskiParams:
     u_inf: float = 1.0
     rho: float = 1.2
 
-    def validate(self) -> None:
+    def __post_init__(self):
         c = self.mu * self.a
         r = abs(self.a - c)
         if not (self.a > 0.0 and math.isfinite(self.a)):
@@ -92,7 +92,6 @@ class JoukowskiParams:
 
 def circulation_kutta(params: JoukowskiParams) -> float:
     """Circulation (m^2/s, clockwise positive) enforcing the Kutta condition."""
-    params.validate()
     return 4.0 * math.pi * params.u_inf * params.radius * math.sin(
         params.alpha_rad + params.beta_rad
     )
@@ -262,7 +261,6 @@ def velocity_at(params: JoukowskiParams, point) -> np.ndarray:
     Raises DomainError for points inside the body and SingularityError at the
     exact trailing edge, where the conformal map degenerates.
     """
-    params.validate()
     pts, single = _as_points(point)
     w = _velocity_complex(params, pts)
     uv = np.column_stack([w.real, w.imag])
@@ -271,7 +269,6 @@ def velocity_at(params: JoukowskiParams, point) -> np.ndarray:
 
 def pressure_at(params: JoukowskiParams, point) -> np.ndarray | float:
     """Static pressure over density (m^2/s^2), Bernoulli with far-field zero."""
-    params.validate()
     pts, single = _as_points(point)
     p = _pressure(params, _velocity_complex(params, pts))
     return float(p[0]) if single else p
@@ -279,7 +276,6 @@ def pressure_at(params: JoukowskiParams, point) -> np.ndarray | float:
 
 def nu_t_at(params: JoukowskiParams, point) -> np.ndarray | float:
     """Turbulent-viscosity surrogate, zero on the surface, decaying far away."""
-    params.validate()
     pts, single = _as_points(point)
     nu = _nu_t(params, _velocity_complex(params, pts), distance_to_surface(params, pts))
     return float(nu[0]) if single else nu
@@ -331,7 +327,6 @@ def sample_point_cloud(
     the trailing-edge cusp or the body interior, so filling the truth fields
     cannot raise domain or singularity errors.
     """
-    params.validate()
     if n_nodes < 64:
         raise ParameterError(f"need at least 64 nodes, got {n_nodes}")
     n_surf = -(-n_nodes // 4)
@@ -423,7 +418,7 @@ class GenerationConfig:
     normalize_chord: bool = True
     solver_time_s: float = 1500.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("n_train", "n_test", "n_ood", "nodes_per_sample", "seed"):
             if not isinstance(getattr(self, name), int):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -461,12 +456,8 @@ class GenerationConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GenerationConfig":
-        """Decode and validate a config's JSON object; JSON's lists become the range tuples."""
-        ranges = {f.name for f in fields(cls) if f.type.startswith("tuple")}
-        with decoding("generation config", ConfigError):
-            config = cls(**{k: tuple(v) if k in ranges and v is not None else v for k, v in dict(data).items()})
-            config.validate()
-        return config
+        """Decode a config's JSON object; keys left out keep their defaults."""
+        return decode(cls, data, "generation config", ConfigError)
 
     def digest(self) -> str:
         return json_digest(asdict(self))
@@ -497,7 +488,6 @@ def _draw_params(config: GenerationConfig, split: Split, rng: np.random.Generato
 
 def generate_split(config: GenerationConfig, split: Split) -> Dataset:
     """Generate one split deterministically from the master seed."""
-    config.validate()
     stream = splitmix64(config.seed, _SPLIT_STREAM[split])
     count = {Split.TRAIN: config.n_train, Split.TEST: config.n_test, Split.OOD_TEST: config.n_ood}[
         split
@@ -525,7 +515,6 @@ def generate_benchmark(config: GenerationConfig, out_dir: str | Path) -> dict[st
     plus a copy of the generation config. Returns the in-memory datasets
     keyed by split name.
     """
-    config.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "generation_config.json", asdict(config))

@@ -11,6 +11,8 @@ from dataclasses import asdict, replace
 import pytest
 
 from airbench import (
+    ML_CRITERIA,
+    LeaderboardEntry,
     PredictorSpec,
     SplitMetrics,
     default_scoring_config,
@@ -19,6 +21,7 @@ from airbench import (
     run_benchmark,
 )
 from airbench.cli import main
+from airbench.harness import score_metrics
 from airbench.io import write_json
 
 from conftest import TINY_CONFIG
@@ -229,9 +232,39 @@ def _write(path, text):
     return str(path)
 
 
-def _metrics_without_ood(bench, tmp):
-    doc = {"test": asdict(SplitMetrics(total_inference_time_s=1.0, total_solver_time_s=1.0))}
-    return ["score", "--metrics", _write(tmp / "m.json", json.dumps(doc))]
+def _metrics_doc() -> dict:
+    """A valid ``metrics.json`` object: both splits, every ML field error."""
+    split = SplitMetrics(
+        field_errors={name: 0.15 for name in ML_CRITERIA},
+        c_d_rel_err=3.0, c_l_rel_err=0.3, spearman_d=0.6, spearman_l=0.95,
+        spearman_d_degenerate=False, spearman_l_degenerate=False,
+        total_inference_time_s=1.0, total_solver_time_s=1500.0,
+    )
+    return {"test": asdict(split), "ood": asdict(split)}
+
+
+def _report_doc() -> dict:
+    """The ``score_report.json`` object that scoring `_metrics_doc` gives."""
+    split = SplitMetrics(**_metrics_doc()["test"])
+    return asdict(score_metrics({"test": split, "ood": split}, default_scoring_config()))
+
+
+def _metrics_with(edit):
+    def argv(bench, tmp):
+        doc = _metrics_doc()
+        edit(doc)
+        return ["score", "--metrics", _write(tmp / "m.json", json.dumps(doc))]
+
+    return argv
+
+
+def _report_with(edit):
+    def argv(bench, tmp):
+        doc = _report_doc()
+        edit(doc)
+        return ["report", _write(tmp / "r.json", json.dumps(doc))]
+
+    return argv
 
 
 def _metrics_not_json(bench, tmp):
@@ -255,10 +288,10 @@ def _bench_with(name, edit):
     return argv
 
 
-def _scoring_config_with_ml_table(table):
+def _scoring_config_with(edit):
     def argv(bench, tmp):
         doc = default_scoring_config().to_dict()
-        doc["thresholds"]["ml"] = table
+        edit(doc)
         config = _write(tmp / "s.json", json.dumps(doc))
         return ["evaluate", "--predictor", "oracle", "--bench", str(bench), "--out", str(tmp / "out"),
                 "--config", config]
@@ -274,15 +307,26 @@ def _generation_config(doc):
 
 
 MALFORMED = {
-    "score-metrics-without-ood": _metrics_without_ood,
+    "score-metrics-without-ood": _metrics_with(lambda doc: doc.pop("ood")),
     "score-metrics-not-json": _metrics_not_json,
     "report-category-without-name": _report_category_without_name,
     "meta-json-without-meta": _bench_with("samples/test-0000.meta.json", lambda doc: doc.pop("meta")),
     "meta-json-without-rho": _bench_with("samples/test-0000.meta.json", lambda doc: doc["meta"].pop("rho")),
     "manifest-entry-without-id": _bench_with("manifest.json", lambda doc: doc["samples"][0].pop("id")),
-    "scoring-config-table-not-object": _scoring_config_with_ml_table([1]),
+    "scoring-config-table-not-object": _scoring_config_with(lambda doc: doc["thresholds"].update(ml=[1])),
+    "scoring-config-without-direction": _scoring_config_with(lambda doc: doc["thresholds"]["ood"]["rho_D"].pop("direction")),
+    "scoring-config-without-speedup-max": _scoring_config_with(lambda doc: doc.pop("speedup_max")),
+    "scoring-config-without-field-criteria": _scoring_config_with(lambda doc: doc.pop("field_criteria")),
     "generate-n-train-string": _generation_config({"n_train": "3"}),
     "generate-range-number": _generation_config({"u_inf_range": 5}),
+    "generate-n-train-bool": _generation_config({"n_train": True}),
+    "test-split-without-samples": _bench_with("manifest.json", lambda doc: doc.update(samples=[])),
+    "score-metrics-value-string": _metrics_with(lambda doc: doc["test"].update(c_d_rel_err="x")),
+    "score-metrics-time-null": _metrics_with(lambda doc: doc["ood"].update(total_inference_time_s=None)),
+    "score-metrics-without-value": _metrics_with(lambda doc: doc["test"].pop("c_d_rel_err")),
+    "score-metrics-flag-string": _metrics_with(lambda doc: doc["test"].update(spearman_d_degenerate="yes")),
+    "report-global-score-null": _report_with(lambda doc: doc.update(global_score=None)),
+    "report-criterion-value-string": _report_with(lambda doc: doc["ml"]["criteria"][0].update(value="x")),
 }
 
 
@@ -291,3 +335,58 @@ def test_malformed_input_is_validation_error(bench, tmp_path, capsys, case):
     rc = main(MALFORMED[case](bench, tmp_path))
     assert rc == 2
     assert capsys.readouterr().err.startswith("airbench: ")
+
+
+def test_valid_metrics_and_report_docs_are_accepted(tmp_path, capsys):
+    # The malformed cases above and the sweep below edit these documents; unedited they pass.
+    assert main(_metrics_with(lambda doc: None)(None, tmp_path)) == 0
+    assert main(_report_with(lambda doc: None)(None, tmp_path)) == 0
+    capsys.readouterr()
+
+
+def _paths(doc, prefix=()):
+    """The key path of every value inside a parsed JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+_DELETE = object()
+_SWEEP_VALUES = (_DELETE, "x", None, [], {}, 0, 2.5, True)
+
+
+def _mutations(doc):
+    """`doc` with one value deleted or replaced, for every value and every replacement."""
+    for path in list(_paths(doc)):
+        for value in _SWEEP_VALUES:
+            copy = json.loads(json.dumps(doc))
+            parent = copy
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            yield copy
+
+
+def test_mutated_records_never_end_in_a_traceback(tmp_path, capsys):
+    entry = asdict(LeaderboardEntry(
+        label="run", timestamp="t", scoring_config_digest="cfg", dataset_digests={"test": "d"},
+        global_score=0.5, classifications={"ml": {"u_x": "G"}}, speedups={"test": 10.0},
+    ))
+    codes = set()
+    for i, doc in enumerate(_mutations(_metrics_doc())):
+        codes.add(main(["score", "--metrics", _write(tmp_path / f"m{i}.json", json.dumps(doc))]))
+    for i, doc in enumerate(_mutations(_report_doc())):
+        codes.add(main(["report", _write(tmp_path / f"r{i}.json", json.dumps(doc))]))
+    listed = set()
+    for i, doc in enumerate(_mutations(entry)):
+        store = tmp_path / f"lb{i}.jsonl"
+        _write(store, json.dumps(doc) + "\n")
+        codes.add(main(["leaderboard", "--store", str(store)]))
+        listed.add(len(leaderboard_list(store)))
+    capsys.readouterr()
+    assert codes == {0, 2}
+    assert listed == {0, 1}

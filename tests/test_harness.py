@@ -267,6 +267,17 @@ class TestLeaderboard:
         assert [e.label for e in entries] == ["good", "second"]
         assert any("corrupt" in r.message for r in caplog.records)
 
+    def test_wrongly_typed_line_skipped_with_warning(self, tmp_path, caplog):
+        store = tmp_path / "lb.jsonl"
+        append_leaderboard_entry(store, _entry("good", 0.7, "t"))
+        with store.open("a") as fh:
+            fh.write('{"label": "bad", "timestamp": "t", "scoring_config_digest": "cfg", "global_score": "x"}\n')
+        append_leaderboard_entry(store, _entry("second", 0.2, "t"))
+        with caplog.at_level("WARNING"):
+            entries = leaderboard_list(store)
+        assert [e.label for e in entries] == ["good", "second"]
+        assert any(":2: skipping corrupt" in r.message and "global_score" in r.message for r in caplog.records)
+
 
 def _table_report():
     ml = {"u_x": 0.208965, "u_y": 0.144508, "p": 0.193066, "nu_t": 0.277285, "p_s": 0.425576}

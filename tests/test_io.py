@@ -16,19 +16,28 @@ import airbench
 from airbench import (
     CoverageError,
     Dataset,
+    FieldCriterion,
     FormatError,
     GenerationConfig,
+    LeaderboardEntry,
     Prediction,
+    SampleMeta,
+    ScoreReport,
     ShapeError,
     Split,
+    SplitMetrics,
     ValidationError,
     dataset_digest,
+    default_scoring_config,
     generate_split,
     read_dataset,
     read_predictions,
+    score_from_values,
     write_dataset,
     write_predictions,
 )
+from airbench.io import decode, read_json, write_json
+from airbench.scoring import rejected_report
 
 # Digest of the canonical serialization of the default-counts train split at
 # reduced resolution. The generator's arithmetic does not depend on numpy's
@@ -70,13 +79,18 @@ print(dataset_digest(sys.argv[2]))
 """
 
 
-def test_empty_dataset_roundtrip(tmp_path):
+def test_empty_dataset_is_refused(tmp_path, tiny_train):
     ds = Dataset(split=Split.TEST, samples=[], generation_config_digest="x")
-    write_dataset(ds, tmp_path / "d")
-    manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
-    assert manifest["samples"] == []
-    assert not list((tmp_path / "d" / "samples").glob("*.csv"))
-    assert read_dataset(tmp_path / "d") == ds
+    with pytest.raises(ValidationError, match="no samples"):
+        write_dataset(ds, tmp_path / "d")
+    assert not (tmp_path / "d").exists()
+    write_dataset(tiny_train, tmp_path / "d")
+    man = tmp_path / "d" / "manifest.json"
+    doc = json.loads(man.read_text())
+    doc["samples"] = []
+    man.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="no samples"):
+        read_dataset(tmp_path / "d")
 
 
 def test_single_sample_roundtrip(tmp_path, tiny_train):
@@ -271,3 +285,70 @@ class TestPredictionIO:
         path.write_text("\n".join(lines[:-3]) + "\n")
         with pytest.raises(ShapeError, match=sid):
             read_predictions(tmp_path / "pred", tiny_train)
+
+
+def _nan_report():
+    ml = {"u_x": float("nan"), "u_y": 0.14, "p": 0.19, "nu_t": 0.28, "p_s": 0.43}
+    ood = dict(ml, u_x=0.32, C_D=21.8, C_L=0.71, rho_D=-0.04, rho_L=0.92)
+    ph = {"C_D": 16.3, "C_L": 0.37, "rho_D": -0.04, "rho_L": 0.96}
+    return score_from_values(ml, ood, ph, 750.0, 750.0, default_scoring_config())
+
+
+RECORDS = {
+    "split-metrics": lambda: SplitMetrics(
+        field_errors={"p_s": 2.5e-7, "u_x": 1 / 3}, c_d_rel_err=12.75, c_l_rel_err=0.1,
+        spearman_d=-0.25, spearman_l=1.0, spearman_d_degenerate=True, spearman_l_degenerate=False,
+        total_inference_time_s=0.003, total_solver_time_s=4500.0,
+    ),
+    "score-report-nan-criterion": _nan_report,
+    "score-report-rejected": lambda: rejected_report("training budget exceeded (2 s)"),
+    "leaderboard-entry": lambda: LeaderboardEntry(
+        label="knn:5", timestamp="2024-01-02T00:00:00Z", scoring_config_digest="cfg",
+        dataset_digests={"ood": "b", "test": "a"}, global_score=0.4125, score_ml=0.5,
+        classifications={"ml": {"p": "U", "u_x": "G"}}, speedups={"ood": 1e4, "test": 750.0},
+        rejection_reason="late", timing="external-process",
+    ),
+    "generation-config": lambda: GenerationConfig(n_train=5, seed=99),
+    "generation-config-ood-camber": lambda: GenerationConfig(ood_camber_range=(0.13, 0.15)),
+    "sample-meta": lambda: SampleMeta(alpha_rad=-0.1, u_inf=42.0, chord=1.0000000000000002, rho=1.2,
+                                      solver_time_s=1500.0),
+    "field-criterion": lambda: FieldCriterion(name="p_s", channel="p_s", kind="rmse", subset="surface",
+                                              normalization=443.5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDS))
+def test_record_roundtrip_keeps_value_and_bytes(tmp_path, kind):
+    record = RECORDS[kind]()
+    write_json(tmp_path / "a.json", asdict(record))
+    back = decode(type(record), read_json(tmp_path / "a.json"), tmp_path / "a.json")
+    # The records list dict keys sorted, as they read back, so repr compares everything
+    # exactly: floats, enum members, tuples, and NaN, which `==` takes as unequal.
+    assert repr(back) == repr(record)
+    assert back == record or kind == "score-report-nan-criterion"
+    write_json(tmp_path / "b.json", asdict(back))
+    assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+
+
+def test_generation_config_digest_ignores_integer_spelling_of_floats():
+    digest = GenerationConfig.from_dict({"rho": 1.0}).digest()
+    assert GenerationConfig.from_dict({"rho": 1}).digest() == digest == GenerationConfig(rho=1.0).digest()
+
+
+@pytest.mark.parametrize("tp, doc, message", [
+    (SampleMeta, {"alpha_rad": 0.0, "u_inf": 1, "chord": 1.0, "rho": True, "solver_time_s": 1.0},
+     "rho: expected float, got True"),
+    (SampleMeta, {"alpha_rad": 0.0, "u_inf": 1.0, "chord": 1.0, "rho": 1.0}, "missing key 'solver_time_s'"),
+    (FieldCriterion, {"name": "p", "channel": "p_s", "scale": 2.0}, "unknown key 'scale'"),
+    (FieldCriterion, {"name": "p", "channel": "rho"}, "criterion 'p': unknown channel 'rho'"),
+    (GenerationConfig, {"u_inf_range": [30.0, 50.0, 70.0]}, r"u_inf_range: expected tuple\[float, float\]"),
+    (GenerationConfig, {"n_test": 2.0}, "n_test: expected int, got 2.0"),
+    (LeaderboardEntry, {"label": "a", "timestamp": "t", "scoring_config_digest": "c", "speedups": {"test": "x"}},
+     "speedups.test: expected float"),
+    (ScoreReport, {**asdict(rejected_report("r")), "ml": {"name": "ml", "criteria": [{}]}},
+     r"ml.criteria\[0\]: missing key 'name'"),
+    (ScoreReport, {**asdict(rejected_report("r")), "rejection_reason": 3}, "rejection_reason: expected str"),
+])
+def test_decode_names_the_refused_field(tp, doc, message):
+    with pytest.raises(FormatError, match=rf"^source\.json: {message}"):
+        decode(tp, doc, "source.json")

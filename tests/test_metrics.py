@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from airbench import (
-    CoverageError,
     Dataset,
     DomainError,
     FieldSet,
@@ -20,13 +19,11 @@ from airbench import (
     Split,
     chord_length,
     circulation_kutta,
-    coefficient_series,
     evaluate_split,
     field_error,
     force_coefficients,
     mean_relative_error,
     sample_point_cloud,
-    spearman,
     spearman_with_flag,
 )
 
@@ -64,6 +61,10 @@ class TestFieldError:
             c = float(rng.normal())
             base = field_error(pred, truth)
             assert field_error(pred + c, truth) >= base - abs(c) - 1e-12
+
+
+def spearman(x: np.ndarray, y: np.ndarray) -> float:
+    return spearman_with_flag(x, y)[0]
 
 
 class TestSpearman:
@@ -206,31 +207,41 @@ def _echo_predictions(ds: Dataset) -> list[Prediction]:
     return [Prediction(sample_id=s.id, fields=s.truth_fields) for s in ds.samples]
 
 
+def _zero_predictions(ds: Dataset) -> list[Prediction]:
+    return [
+        Prediction(sample_id=s.id, fields=FieldSet(*(np.zeros(s.n_nodes) for _ in FieldSet.CHANNELS)))
+        for s in ds.samples
+    ]
+
+
+def _series(ds: Dataset, preds: list[Prediction]) -> tuple[np.ndarray, ...]:
+    """Per-sample (cd_true, cl_true, cd_pred, cl_pred), sorted by sample id, from single calls."""
+    by_id = {p.sample_id: p.fields for p in preds}
+    samples = sorted(ds.samples, key=lambda s: s.id)
+    rows = [force_coefficients(s, s.truth_fields) + force_coefficients(s, by_id[s.id]) for s in samples]
+    return tuple(np.array(rows).T)
+
+
 class TestCoefficientSeries:
+    """The drag and lift series that `evaluate_split` builds from `force_coefficients`."""
+
     def test_echo_predictions_reproduce_truth(self):
         ds = _toy_dataset()
-        series = coefficient_series(ds, _echo_predictions(ds))
-        np.testing.assert_array_equal(series.cd_true, series.cd_pred)
-        np.testing.assert_array_equal(series.cl_true, series.cl_pred)
-
-    def test_missing_prediction_names_id(self):
-        ds = _toy_dataset()
-        with pytest.raises(CoverageError, match="s-00"):
-            coefficient_series(ds, _echo_predictions(ds)[1:])
-
-    def test_unknown_prediction_rejected(self):
-        ds = _toy_dataset()
-        preds = _echo_predictions(ds)
-        preds.append(Prediction(sample_id="stranger", fields=ds.samples[0].truth_fields))
-        with pytest.raises(CoverageError, match="stranger"):
-            coefficient_series(ds, preds)
+        cd_true, cl_true, cd_pred, cl_pred = _series(ds, _echo_predictions(ds))
+        np.testing.assert_array_equal(cd_true, cd_pred)
+        np.testing.assert_array_equal(cl_true, cl_pred)
+        m = evaluate_split(ds, _echo_predictions(ds))
+        assert m.c_d_rel_err == 0.0 and m.c_l_rel_err == 0.0
 
     def test_matches_per_sample_calls(self):
-        ds = _toy_dataset()
-        series = coefficient_series(ds, _echo_predictions(ds))
-        for i, s in enumerate(sorted(ds.samples, key=lambda s: s.id)):
-            cd, cl = force_coefficients(s, s.truth_fields)
-            assert series.cd_true[i] == cd and series.cl_true[i] == cl
+        ds = _toy_dataset(n=4)
+        preds = _zero_predictions(ds)
+        cd_true, cl_true, cd_pred, cl_pred = _series(ds, preds)
+        m = evaluate_split(ds, preds)
+        assert m.c_d_rel_err == mean_relative_error(cd_pred, cd_true)
+        assert m.c_l_rel_err == mean_relative_error(cl_pred, cl_true)
+        assert (m.spearman_d, m.spearman_d_degenerate) == spearman_with_flag(cd_true, cd_pred)
+        assert (m.spearman_l, m.spearman_l_degenerate) == spearman_with_flag(cl_true, cl_pred)
 
 
 class TestMeanRelativeError:
@@ -260,26 +271,13 @@ class TestEvaluateSplit:
 
     def test_zero_predictor_matches_composed_operations(self):
         ds = _toy_dataset(n=5)
-        zeros = [
-            Prediction(
-                sample_id=s.id,
-                fields=FieldSet(
-                    u_x=np.zeros(s.n_nodes),
-                    u_y=np.zeros(s.n_nodes),
-                    p_s=np.zeros(s.n_nodes),
-                    nu_t=np.zeros(s.n_nodes),
-                ),
-            )
-            for s in ds.samples
-        ]
+        zeros = _zero_predictions(ds)
         m = evaluate_split(ds, zeros)
         pooled = np.concatenate([s.truth_fields.u_x for s in sorted(ds.samples, key=lambda t: t.id)])
         assert m.field_errors["u_x"] == pytest.approx(np.mean(np.abs(pooled)), rel=1e-14)
-        series = coefficient_series(ds, zeros)
-        assert m.c_l_rel_err == pytest.approx(
-            mean_relative_error(series.cl_pred, series.cl_true), rel=1e-14
-        )
-        assert m.spearman_l == spearman(series.cl_true, series.cl_pred)
+        _, cl_true, _, cl_pred = _series(ds, zeros)
+        assert m.c_l_rel_err == pytest.approx(mean_relative_error(cl_pred, cl_true), rel=1e-14)
+        assert m.spearman_l == spearman(cl_true, cl_pred)
 
     def test_single_sample_split_degenerates(self):
         ds = _toy_dataset(n=1)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ from airbench import (
     speed_score,
 )
 from airbench.harness import read_score_report, write_score_report
-from airbench.io import read_json, write_json
+from airbench.io import decode, read_json, write_json
 from airbench.scoring import rejected_report
 
 G, A, U = Classification.GREAT, Classification.ACCEPTABLE, Classification.UNACCEPTABLE
@@ -103,7 +103,7 @@ class TestClassify:
 
     def test_invalid_thresholds(self):
         with pytest.raises(ConfigError):
-            ThresholdSpec(t1=0.5, t2=0.5).validate()
+            ThresholdSpec(t1=0.5, t2=0.5, direction=Direction.MIN)
 
 
 class TestAccuracyScore:
@@ -300,7 +300,6 @@ class TestScoreFromValues:
 class TestScoringConfig:
     def test_default_is_valid_and_matches_reference_thresholds(self):
         cfg = default_scoring_config()
-        cfg.validate()
         assert cfg.alpha_ml == 0.4 and cfg.alpha_ood == 0.3 and cfg.alpha_ph == 0.3
         assert cfg.alpha_a == 0.75 and cfg.alpha_s == 0.25
         assert cfg.speedup_max == 10000.0
@@ -316,24 +315,13 @@ class TestScoringConfig:
 
     def test_weight_sum_enforced(self):
         cfg = default_scoring_config()
-        bad = ScoringConfig(
-            alpha_ml=0.5, alpha_ood=0.3, alpha_ph=0.3,
-            thresholds_ml=cfg.thresholds_ml,
-            thresholds_ood=cfg.thresholds_ood,
-            thresholds_physics=cfg.thresholds_physics,
-        )
         with pytest.raises(ConfigError, match="sum to 1"):
-            bad.validate()
+            replace(cfg, alpha_ml=0.5, alpha_ood=0.3, alpha_ph=0.3)
 
     def test_criterion_name_sets_enforced(self):
         cfg = default_scoring_config()
-        bad = ScoringConfig(
-            thresholds_ml={**cfg.thresholds_ml, "extra": ThresholdSpec(0, 1)},
-            thresholds_ood=cfg.thresholds_ood,
-            thresholds_physics=cfg.thresholds_physics,
-        )
         with pytest.raises(ConfigError, match="ml thresholds"):
-            bad.validate()
+            replace(cfg, thresholds_ml={**cfg.thresholds_ml, "extra": ThresholdSpec(0, 1, Direction.MIN)})
 
     def test_json_roundtrip(self, tmp_path):
         cfg = default_scoring_config()
@@ -346,7 +334,7 @@ class TestScoringConfig:
     def test_report_dict_roundtrip(self):
         ml, ood, ph = _table_values()
         report = score_from_values(ml, ood, ph, 750.0, 750.0, default_scoring_config())
-        back = ScoreReport.from_dict(json.loads(json.dumps(asdict(report))))
+        back = decode(ScoreReport, json.loads(json.dumps(asdict(report))), "report")
         assert back == report
         assert back.ml.criteria[0].classification is report.ml.criteria[0].classification
 

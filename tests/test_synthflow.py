@@ -252,7 +252,7 @@ class TestGenerationConfig:
 
     def test_overlapping_ood_range_rejected(self):
         with pytest.raises(ConfigError, match="overlaps"):
-            GenerationConfig(u_inf_range=(30, 50), u_inf_range_ood=(45, 60)).validate()
+            GenerationConfig(u_inf_range=(30, 50), u_inf_range_ood=(45, 60))
 
     def test_json_roundtrip(self, tmp_path):
         cfg = GenerationConfig(n_train=5, seed=99, ood_camber_range=(0.13, 0.15))
