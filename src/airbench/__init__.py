@@ -76,7 +76,6 @@ from .scoring import (
     build_category,
     category_score,
     classify,
-    classify_criteria,
     combine_global,
     compute_speedup,
     default_scoring_config,

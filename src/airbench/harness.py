@@ -15,10 +15,11 @@ import fcntl
 import json
 import logging
 import os
+import signal
 import subprocess
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,9 +38,6 @@ from .io import (
 from .metrics import SplitMetrics, evaluate_split
 from .model import Dataset, Prediction
 from .scoring import (
-    ML_CRITERIA,
-    OOD_CRITERIA,
-    PHYSICS_CRITERIA,
     ScoreReport,
     ScoringConfig,
     compute_speedup,
@@ -103,7 +101,8 @@ def run_training(
 ) -> TrainingOutcome:
     """Train within the wall-clock budget; overruns reject the submission.
 
-    External training commands are killed at the budget and rejected; a
+    An external training command runs in a session of its own, and at the
+    budget its whole process group is killed and the run rejected; a
     nonzero exit status is a training failure (TrainingError), which is a
     different thing than a budget rejection. Builtin fits run in-process and
     are rejected after the fact if they took too long.
@@ -112,24 +111,28 @@ def run_training(
         if spec.training_command is None:
             return TrainingOutcome(status="trained", elapsed_s=0.0)
         t0 = clock()
-        try:
-            proc = subprocess.run(
-                spec.training_command + [str(train_dir)],
-                cwd=spec.working_dir,
-                timeout=budget_s,
-                capture_output=True,
-            )
-        except subprocess.TimeoutExpired:
-            return TrainingOutcome(
-                status="rejected",
-                reason=f"training budget exceeded ({budget_s:g} s)",
-                elapsed_s=clock() - t0,
-            )
+        with subprocess.Popen(
+            spec.training_command + [str(train_dir)],
+            cwd=spec.working_dir,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            start_new_session=True,
+        ) as proc:
+            try:
+                _, stderr = proc.communicate(timeout=budget_s)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                return TrainingOutcome(
+                    status="rejected",
+                    reason=f"training budget exceeded ({budget_s:g} s)",
+                    elapsed_s=clock() - t0,
+                )
         elapsed = clock() - t0
         if proc.returncode != 0:
             raise TrainingError(
                 f"training command exited with status {proc.returncode}: "
-                f"{proc.stderr.decode(errors='replace').strip()[:500]}"
+                f"{stderr.decode(errors='replace').strip()[:500]}"
             )
         return TrainingOutcome(status="trained", elapsed_s=elapsed)
 
@@ -209,15 +212,15 @@ class LeaderboardEntry:
     label: str
     timestamp: str
     scoring_config_digest: str
-    dataset_digests: dict[str, str] = field(default_factory=dict)
-    global_score: float = 0.0
-    score_ml: float = 0.0
-    score_ood: float = 0.0
-    score_physics: float = 0.0
-    classifications: dict[str, dict[str, str]] = field(default_factory=dict)
-    speedups: dict[str, float] = field(default_factory=dict)
-    rejection_reason: str | None = None
-    timing: str = "builtin-loop"  # or "external-process"; not comparable across modes
+    dataset_digests: dict[str, str]
+    global_score: float
+    score_ml: float
+    score_ood: float
+    score_physics: float
+    classifications: dict[str, dict[str, str]]
+    speedups: dict[str, float]
+    rejection_reason: str | None
+    timing: str  # "builtin-loop" or "external-process"; not comparable across modes
 
 
 def resolve_store_path(explicit: str | Path | None = None) -> Path:
@@ -245,18 +248,19 @@ def append_leaderboard_entry(store_path: str | Path, entry: LeaderboardEntry) ->
 def leaderboard_list(store_path: str | Path) -> list[LeaderboardEntry]:
     """Entries sorted by global score descending, ties broken by timestamp.
 
-    Corrupt lines are skipped with a warning; a missing store reads as empty.
+    A corrupt line (not UTF-8, not JSON, or a refused record) is skipped
+    with a warning; a missing store reads as empty.
     """
     store_path = Path(store_path)
     if not store_path.exists():
         return []
     entries = []
-    for lineno, line in enumerate(store_path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(store_path.read_bytes().splitlines(), 1):
         if not line.strip():
             continue
         try:
-            entries.append(decode(LeaderboardEntry, json.loads(line), "entry"))
-        except (json.JSONDecodeError, FormatError) as e:
+            entries.append(decode(LeaderboardEntry, json.loads(line.decode("utf-8")), "entry"))
+        except (UnicodeDecodeError, json.JSONDecodeError, FormatError) as e:
             logger.warning("%s:%d: skipping corrupt leaderboard line (%s)", store_path, lineno, e)
     entries.sort(key=lambda e: (-e.global_score, e.timestamp))
     return entries
@@ -296,17 +300,17 @@ def evaluate_benchmark(
     config: ScoringConfig,
     out_dir: str | Path,
     *,
-    fixed_inference_time_s: float | dict[str, float] | None,
+    fixed_inference_time_s: float | None,
     repeat: int,
     clock=time.perf_counter,
 ) -> tuple[TrainingOutcome, dict[str, SplitMetrics] | None]:
     """Train, then run inference on the test and OOD splits and evaluate them.
 
     Each split is read once; its predictions go to ``out_dir/pred/<split>``.
-    `fixed_inference_time_s` substitutes a deterministic stub time (one value
-    or per split) for the measured one. The config's solver-time source is
-    applied here, so each split's `total_solver_time_s` is the reference
-    total its speed-up divides. Returns the training outcome and
+    `fixed_inference_time_s` substitutes a deterministic stub time for each
+    split's measured one. The config's solver-time source is applied here,
+    so each split's `total_solver_time_s` is the reference total its
+    speed-up divides. Returns the training outcome and
     {split: SplitMetrics}, or None for the metrics if training was rejected.
     """
     bench_dir = Path(bench_dir)
@@ -325,12 +329,7 @@ def evaluate_benchmark(
             spec, split_dir, dataset, out_dir / "pred" / name,
             predictor=predictor, clock=clock, repeat=repeat,
         )
-        if isinstance(fixed_inference_time_s, dict):
-            used = fixed_inference_time_s.get(name, elapsed)
-        elif fixed_inference_time_s is not None:
-            used = float(fixed_inference_time_s)
-        else:
-            used = elapsed
+        used = elapsed if fixed_inference_time_s is None else float(fixed_inference_time_s)
         metrics = evaluate_split(dataset, predictions, config.field_criteria, total_inference_time_s=used)
         if config.solver_time_source == "constant":
             metrics.total_solver_time_s = config.solver_time_constant_s * len(dataset.samples)
@@ -346,10 +345,11 @@ def score_metrics(split_metrics: dict[str, SplitMetrics], config: ScoringConfig)
     its inference time.
     """
     test, ood = split_metrics["test"], split_metrics["ood"]
+    test_values = criterion_values_from_metrics(test)
     return score_from_values(
-        ml_values=criterion_values_from_metrics(test, ML_CRITERIA),
-        ood_values=criterion_values_from_metrics(ood, OOD_CRITERIA),
-        physics_values=criterion_values_from_metrics(test, PHYSICS_CRITERIA),
+        ml_values=test_values,
+        ood_values=criterion_values_from_metrics(ood),
+        physics_values=test_values,
         speedup_ml=compute_speedup(test.total_solver_time_s, test.total_inference_time_s),
         speedup_ood=compute_speedup(ood.total_solver_time_s, ood.total_inference_time_s),
         config=config,
@@ -362,7 +362,7 @@ def run_benchmark(
     config: ScoringConfig,
     out_dir: str | Path | None = None,
     store_path: str | Path | None = None,
-    fixed_inference_time_s: float | dict[str, float] | None = None,
+    fixed_inference_time_s: float | None = None,
     include_timestamp: bool = True,
     repeat: int = 1,
     clock=time.perf_counter,
@@ -392,28 +392,28 @@ def run_benchmark(
             spec, bench_dir, config, out_dir,
             fixed_inference_time_s=fixed_inference_time_s, repeat=repeat, clock=clock,
         )
+        if outcome.rejected:
+            report = rejected_report(outcome.reason)
+        else:
+            write_metrics(split_metrics, out_dir / "metrics.json")
+            report = score_metrics(split_metrics, config)
         entry = LeaderboardEntry(
             label=spec.label,
             timestamp=_timestamp(include_timestamp),
             scoring_config_digest=config.digest(),
             dataset_digests=digests,
-            timing="external-process" if spec.command else "builtin-loop",
-        )
-        if outcome.rejected:
-            report = rejected_report(outcome.reason)
-            entry.rejection_reason = outcome.reason
-        else:
-            write_metrics(split_metrics, out_dir / "metrics.json")
-            report = score_metrics(split_metrics, config)
-            entry.global_score = report.global_score
-            entry.score_ml = report.ml.score
-            entry.score_ood = report.ood.score
-            entry.score_physics = report.physics.score
-            entry.classifications = {
+            global_score=report.global_score,
+            score_ml=report.ml.score,
+            score_ood=report.ood.score,
+            score_physics=report.physics.score,
+            classifications={} if report.rejected else {
                 cat.name: {c.name: c.classification.marker for c in cat.criteria}
                 for cat in (report.ml, report.ood, report.physics)
-            }
-            entry.speedups = {"test": report.ml.speedup, "ood": report.ood.speedup}
+            },
+            speedups={} if report.rejected else {"test": report.ml.speedup, "ood": report.ood.speedup},
+            rejection_reason=report.rejection_reason,
+            timing="external-process" if spec.command else "builtin-loop",
+        )
         write_score_report(report, out_dir / "score_report.json")
         (out_dir / "report.txt").write_text(render_report(report, label=spec.label), encoding="utf-8")
         if store_path is not None:

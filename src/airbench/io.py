@@ -57,11 +57,13 @@ def write_json(path: str | Path, obj) -> None:
 
 
 def read_json(path: str | Path):
-    """Parse a JSON file; a missing or invalid file raises FormatError naming ``path:line``."""
+    """Parse a JSON file; a missing, non-UTF-8 or invalid file raises FormatError naming it."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise FormatError(f"missing file: {path}") from None
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 (byte {e.start}: {e.reason})") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:

@@ -16,19 +16,21 @@ values bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import ConfigError, DomainError
-from .io import decode, decoding, json_digest, read_json
+from .io import decode, json_digest, read_json
 from .metrics import FieldCriterion, SplitMetrics
 
 ML_CRITERIA = ("u_x", "u_y", "p", "nu_t", "p_s")
 PHYSICS_CRITERIA = ("C_D", "C_L", "rho_D", "rho_L")
 OOD_CRITERIA = ML_CRITERIA + PHYSICS_CRITERIA
+# Each category's criteria in report order; the scoring config holds one threshold table per category.
+CATEGORIES = {"ml": ML_CRITERIA, "ood": OOD_CRITERIA, "physics": PHYSICS_CRITERIA}
 
 
 class Classification(IntEnum):
@@ -41,7 +43,7 @@ class Classification(IntEnum):
         return {0: "U", 1: "A", 2: "G"}[int(self)]
 
 
-class Direction(Enum):
+class Direction(str, Enum):
     MIN = "min"  # smaller is better
     MAX = "max"  # larger is better
 
@@ -129,7 +131,7 @@ class CriterionResult:
     name: str
     value: float
     classification: Classification
-    non_finite: bool = False
+    non_finite: bool
 
 
 @dataclass
@@ -137,21 +139,15 @@ class CategoryResult:
     """Classified criteria and sub-scores for one category."""
 
     name: str
-    criteria: list[CriterionResult] = field(default_factory=list)
-    accuracy: float = 0.0
-    speedup: float | None = None
-    speed: float | None = None
-    score: float = 0.0
+    criteria: list[CriterionResult]
+    accuracy: float
+    speedup: float | None
+    speed: float | None
+    score: float
 
     def __post_init__(self):
         if (self.speed is None) != (self.speedup is None):
             raise DomainError(f"category {self.name!r}: a speed score goes with a speed-up")
-
-    def counts(self) -> tuple[int, int, int]:
-        ng = sum(1 for c in self.criteria if c.classification is Classification.GREAT)
-        no = sum(1 for c in self.criteria if c.classification is Classification.ACCEPTABLE)
-        nr = sum(1 for c in self.criteria if c.classification is Classification.UNACCEPTABLE)
-        return ng, no, nr
 
     def markers(self) -> str:
         return " ".join(c.classification.marker for c in self.criteria)
@@ -165,13 +161,17 @@ class ScoreReport:
     ood: CategoryResult
     physics: CategoryResult
     global_score: float
-    rejected: bool = False
-    rejection_reason: str | None = None
+    rejected: bool
+    rejection_reason: str | None
 
 
 @dataclass(frozen=True)
 class ScoringConfig:
-    """Weights, speed-up cap, training budget, and per-criterion thresholds."""
+    """Weights, speed-up cap, training budget, and per-criterion thresholds.
+
+    `thresholds` holds one table per category of `CATEGORIES`. The fields
+    are the JSON layout: `asdict` writes a config, `from_dict` reads it.
+    """
 
     alpha_ml: float
     alpha_ood: float
@@ -180,9 +180,7 @@ class ScoringConfig:
     alpha_s: float
     speedup_max: float
     training_budget_s: float
-    thresholds_ml: dict[str, ThresholdSpec]
-    thresholds_ood: dict[str, ThresholdSpec]
-    thresholds_physics: dict[str, ThresholdSpec]
+    thresholds: dict[str, dict[str, ThresholdSpec]]
     field_criteria: tuple[FieldCriterion, ...]
     solver_time_source: str = "sample_meta"  # or "constant"
     solver_time_constant_s: float = 1500.0
@@ -200,54 +198,23 @@ class ScoringConfig:
             raise ConfigError(f"unknown solver_time_source {self.solver_time_source!r}")
         if self.solver_time_source == "constant" and not self.solver_time_constant_s > 0:
             raise ConfigError("solver_time_constant_s must be positive")
-        for names, table, label in (
-            (ML_CRITERIA, self.thresholds_ml, "ml"),
-            (OOD_CRITERIA, self.thresholds_ood, "ood"),
-            (PHYSICS_CRITERIA, self.thresholds_physics, "physics"),
-        ):
-            if set(table) != set(names):
+        if set(self.thresholds) != set(CATEGORIES):
+            raise ConfigError(f"thresholds must hold exactly {sorted(CATEGORIES)}, got {sorted(self.thresholds)}")
+        for label, names in CATEGORIES.items():
+            if set(self.thresholds[label]) != set(names):
                 raise ConfigError(
-                    f"{label} thresholds must cover exactly {sorted(names)}, got {sorted(table)}"
+                    f"{label} thresholds must cover exactly {sorted(names)}, got {sorted(self.thresholds[label])}"
                 )
         crit_names = [c.name for c in self.field_criteria]
         if sorted(crit_names) != sorted(ML_CRITERIA):
             raise ConfigError(f"field criteria must be exactly {sorted(ML_CRITERIA)}")
 
-    def to_dict(self) -> dict:
-        def table(t: dict[str, ThresholdSpec]) -> dict:
-            return {
-                name: {"t1": s.t1, "t2": s.t2, "direction": s.direction.value}
-                for name, s in sorted(t.items())
-            }
-
-        return {
-            "alpha_ml": self.alpha_ml,
-            "alpha_ood": self.alpha_ood,
-            "alpha_ph": self.alpha_ph,
-            "alpha_a": self.alpha_a,
-            "alpha_s": self.alpha_s,
-            "speedup_max": self.speedup_max,
-            "training_budget_s": self.training_budget_s,
-            "solver_time_source": self.solver_time_source,
-            "solver_time_constant_s": self.solver_time_constant_s,
-            "thresholds": {
-                "ml": table(self.thresholds_ml),
-                "ood": table(self.thresholds_ood),
-                "physics": table(self.thresholds_physics),
-            },
-            "field_criteria": [asdict(c) for c in self.field_criteria],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ScoringConfig":
-        """Decode a config's JSON object, whose ``thresholds`` object holds the three tables."""
-        with decoding("scoring config", ConfigError):
-            doc = dict(data)
-            doc.update({f"thresholds_{name}": t for name, t in doc.pop("thresholds").items()})
-        return decode(cls, doc, "scoring config", ConfigError)
+        return decode(cls, data, "scoring config", ConfigError)
 
     def digest(self) -> str:
-        return json_digest(self.to_dict())
+        return json_digest(asdict(self))
 
 
 def default_scoring_config() -> ScoringConfig:
@@ -256,49 +223,36 @@ def default_scoring_config() -> ScoringConfig:
         return ScoringConfig.from_dict(read_json(path))
 
 
-def classify_criteria(
-    values: Mapping[str, float],
-    thresholds: Mapping[str, ThresholdSpec],
-    order: Sequence[str],
-) -> list[CriterionResult]:
-    """Classify named raw values in a fixed criterion order."""
-    out = []
-    for name in order:
-        if name not in values:
-            raise ConfigError(f"missing criterion value {name!r}")
-        v = float(values[name])
-        out.append(
-            CriterionResult(
-                name=name,
-                value=v,
-                classification=classify(v, thresholds[name]),
-                non_finite=not math.isfinite(v),
-            )
-        )
-    return out
-
-
 def build_category(
     name: str,
-    criteria: list[CriterionResult],
+    values: Mapping[str, float],
     config: ScoringConfig,
     speedup: float | None = None,
 ) -> CategoryResult:
-    """Assemble one category: accuracy from the points, optional speed blend.
+    """Classify one category's raw values in its criterion order, then score them.
 
-    With a speed-up, the category score blends accuracy and speed by the
-    configured weights; without one (the physics category) it is the
-    accuracy fraction alone.
+    Accuracy is the points fraction of the classes. With a speed-up, the
+    category score blends accuracy and speed by the configured weights;
+    without one (the physics category) it is the accuracy fraction alone.
     """
-    cat = CategoryResult(name=name, criteria=criteria)
-    cat.accuracy = accuracy_score(*cat.counts())
-    if speedup is None:
-        cat.score = cat.accuracy
-    else:
-        cat.speedup = speedup
-        cat.speed = speed_score(speedup, config.speedup_max)
-        cat.score = category_score(cat.accuracy, cat.speed, config.alpha_a, config.alpha_s)
-    return cat
+    thresholds = config.thresholds[name]
+    criteria = []
+    for criterion in CATEGORIES[name]:
+        if criterion not in values:
+            raise ConfigError(f"missing criterion value {criterion!r}")
+        v = float(values[criterion])
+        criteria.append(CriterionResult(
+            name=criterion, value=v, classification=classify(v, thresholds[criterion]),
+            non_finite=not math.isfinite(v),
+        ))
+    classes = [c.classification for c in criteria]
+    great, acceptable = classes.count(Classification.GREAT), classes.count(Classification.ACCEPTABLE)
+    accuracy = accuracy_score(great, acceptable, len(classes) - great - acceptable)
+    speed = None if speedup is None else speed_score(speedup, config.speedup_max)
+    return CategoryResult(
+        name=name, criteria=criteria, accuracy=accuracy, speedup=speedup, speed=speed,
+        score=accuracy if speed is None else category_score(accuracy, speed, config.alpha_a, config.alpha_s),
+    )
 
 
 def combine_global(score_ml: float, score_ood: float, score_physics: float, config: ScoringConfig) -> float:
@@ -315,14 +269,11 @@ def combine_global(score_ml: float, score_ood: float, score_physics: float, conf
 
 def rejected_report(reason: str) -> ScoreReport:
     """A zero-score report for a run rejected before evaluation."""
-    return ScoreReport(
-        ml=CategoryResult(name="ml"),
-        ood=CategoryResult(name="ood"),
-        physics=CategoryResult(name="physics"),
-        global_score=0.0,
-        rejected=True,
-        rejection_reason=reason,
-    )
+    empty = {
+        name: CategoryResult(name=name, criteria=[], accuracy=0.0, speedup=None, speed=None, score=0.0)
+        for name in CATEGORIES
+    }
+    return ScoreReport(**empty, global_score=0.0, rejected=True, rejection_reason=reason)
 
 
 def score_from_values(
@@ -334,40 +285,25 @@ def score_from_values(
     config: ScoringConfig,
 ) -> ScoreReport:
     """Full scoring pipeline from raw criterion values and speed-ups."""
-    ml = build_category(
-        "ml", classify_criteria(ml_values, config.thresholds_ml, ML_CRITERIA), config, speedup_ml
-    )
-    ood = build_category(
-        "ood",
-        classify_criteria(ood_values, config.thresholds_ood, OOD_CRITERIA),
-        config,
-        speedup_ood,
-    )
-    physics = build_category(
-        "physics", classify_criteria(physics_values, config.thresholds_physics, PHYSICS_CRITERIA), config
-    )
+    ml = build_category("ml", ml_values, config, speedup_ml)
+    ood = build_category("ood", ood_values, config, speedup_ood)
+    physics = build_category("physics", physics_values, config)
     return ScoreReport(
         ml=ml,
         ood=ood,
         physics=physics,
         global_score=combine_global(ml.score, ood.score, physics.score, config),
+        rejected=False,
+        rejection_reason=None,
     )
 
 
-def criterion_values_from_metrics(metrics: SplitMetrics, names: Sequence[str]) -> dict[str, float]:
-    """Pull named criterion values out of a split's raw metrics."""
-    mapping = {
+def criterion_values_from_metrics(metrics: SplitMetrics) -> dict[str, float]:
+    """Every criterion value in a split's raw metrics, by criterion name."""
+    return {
+        **metrics.field_errors,
         "C_D": metrics.c_d_rel_err,
         "C_L": metrics.c_l_rel_err,
         "rho_D": metrics.spearman_d,
         "rho_L": metrics.spearman_l,
     }
-    out = {}
-    for name in names:
-        if name in mapping:
-            out[name] = mapping[name]
-        elif name in metrics.field_errors:
-            out[name] = metrics.field_errors[name]
-        else:
-            raise ConfigError(f"criterion {name!r} not present in metrics")
-    return out

@@ -144,7 +144,7 @@ def test_criterion_4_spearman_equivalence():
 
 def test_criterion_5_end_to_end_monotonicity(toy_bench_dir, tmp_path):
     config = default_scoring_config()
-    fixed = {"test": SOLVER_TOTAL / 10000, "ood": SOLVER_TOTAL / 10000}
+    fixed = SOLVER_TOTAL / 10000
     scores = {}
     for name in ("oracle", "knn:5", "constant"):
         report, _ = run_benchmark(
@@ -163,14 +163,9 @@ def test_criterion_5_end_to_end_monotonicity(toy_bench_dir, tmp_path):
 
 def test_criterion_6_classification_boundary_suite():
     config = default_scoring_config()
-    tables = {
-        "ml": (REFERENCE_ML, config.thresholds_ml),
-        "ood": (REFERENCE_OOD, config.thresholds_ood),
-        "physics": (REFERENCE_PHYSICS, config.thresholds_physics),
-    }
+    values = {"ml": REFERENCE_ML, "ood": REFERENCE_OOD, "physics": REFERENCE_PHYSICS}
     for category, name, expected_points in REFERENCE_POINTS:
-        values, thresholds = tables[category]
-        got = classify(values[name], thresholds[name])
+        got = classify(values[category][name], config.thresholds[category][name])
         assert int(got) == expected_points, (category, name)
     _pass(6, f"all {len(REFERENCE_POINTS)} reference rows reproduce their 0/1/2 points")
 

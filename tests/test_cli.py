@@ -43,7 +43,7 @@ class TestRunBenchmark:
             bench,
             default_scoring_config(),
             out_dir=tmp_path / "run",
-            fixed_inference_time_s={"test": SOLVER_TOTAL / 10000, "ood": SOLVER_TOTAL / 10000},
+            fixed_inference_time_s=SOLVER_TOTAL / 10000,
         )
         assert report.ml.score == 1.0
         assert report.ood.score == 1.0
@@ -57,7 +57,7 @@ class TestRunBenchmark:
             bench,
             default_scoring_config(),
             out_dir=tmp_path / "run",
-            fixed_inference_time_s={"test": SOLVER_TOTAL, "ood": SOLVER_TOTAL},
+            fixed_inference_time_s=SOLVER_TOTAL,
         )
         assert (report.ml.score, report.ood.score, report.physics.score) == (0.75, 0.75, 1.0)
         assert report.global_score == 0.825
@@ -131,7 +131,7 @@ class TestCli:
         bench = tmp_path / "bench"
         main(["generate", "--config", str(gen_cfg), "--out", str(bench)])
         score_cfg = tmp_path / "score.json"
-        write_json(score_cfg, replace(default_scoring_config(), solver_time_source=solver_time_source).to_dict())
+        write_json(score_cfg, asdict(replace(default_scoring_config(), solver_time_source=solver_time_source)))
         common = ["--config", str(score_cfg), "--fixed-time", "1"]
         capsys.readouterr()
 
@@ -290,13 +290,20 @@ def _bench_with(name, edit):
 
 def _scoring_config_with(edit):
     def argv(bench, tmp):
-        doc = default_scoring_config().to_dict()
+        doc = json.loads(json.dumps(asdict(default_scoring_config())))
         edit(doc)
         config = _write(tmp / "s.json", json.dumps(doc))
         return ["evaluate", "--predictor", "oracle", "--bench", str(bench), "--out", str(tmp / "out"),
                 "--config", config]
 
     return argv
+
+
+def _not_utf8(tmp):
+    """A JSON file holding a byte that is not UTF-8."""
+    path = tmp / "bad.json"
+    path.write_bytes(b'{"ml": "\xff"}')
+    return str(path)
 
 
 def _generation_config(doc):
@@ -327,6 +334,13 @@ MALFORMED = {
     "score-metrics-flag-string": _metrics_with(lambda doc: doc["test"].update(spearman_d_degenerate="yes")),
     "report-global-score-null": _report_with(lambda doc: doc.update(global_score=None)),
     "report-criterion-value-string": _report_with(lambda doc: doc["ml"]["criteria"][0].update(value="x")),
+    "scoring-config-extra-category": _scoring_config_with(
+        lambda doc: doc["thresholds"].update(extra=doc["thresholds"]["physics"])),
+    "report-not-utf8": lambda bench, tmp: ["report", _not_utf8(tmp)],
+    "score-metrics-not-utf8": lambda bench, tmp: ["score", "--metrics", _not_utf8(tmp)],
+    "run-config-not-utf8": lambda bench, tmp: [
+        "run", "--predictor", "oracle", "--bench", str(bench), "--out", str(tmp / "out"),
+        "--store", str(tmp / "lb.jsonl"), "--config", _not_utf8(tmp)],
 }
 
 
@@ -357,7 +371,10 @@ _SWEEP_VALUES = (_DELETE, "x", None, [], {}, 0, 2.5, True)
 
 
 def _mutations(doc):
-    """`doc` with one value deleted or replaced, for every value and every replacement."""
+    """`doc` with one value deleted or replaced, for every value and every replacement.
+
+    Yields the key path, the replacement (`_DELETE` for a deletion) and the edited copy.
+    """
     for path in list(_paths(doc)):
         for value in _SWEEP_VALUES:
             copy = json.loads(json.dumps(doc))
@@ -368,25 +385,35 @@ def _mutations(doc):
                 del parent[path[-1]]
             else:
                 parent[path[-1]] = value
-            yield copy
+            yield path, value, copy
 
 
 def test_mutated_records_never_end_in_a_traceback(tmp_path, capsys):
     entry = asdict(LeaderboardEntry(
         label="run", timestamp="t", scoring_config_digest="cfg", dataset_digests={"test": "d"},
-        global_score=0.5, classifications={"ml": {"u_x": "G"}}, speedups={"test": 10.0},
+        global_score=0.5, score_ml=0.5, score_ood=0.5, score_physics=0.5,
+        classifications={"ml": {"u_x": "G"}}, speedups={"test": 10.0}, rejection_reason=None,
+        timing="builtin-loop",
     ))
     codes = set()
-    for i, doc in enumerate(_mutations(_metrics_doc())):
+    for i, (_, _, doc) in enumerate(_mutations(_metrics_doc())):
         codes.add(main(["score", "--metrics", _write(tmp_path / f"m{i}.json", json.dumps(doc))]))
-    for i, doc in enumerate(_mutations(_report_doc())):
-        codes.add(main(["report", _write(tmp_path / f"r{i}.json", json.dumps(doc))]))
+    for i, (path, value, doc) in enumerate(_mutations(_report_doc())):
+        rc = main(["report", _write(tmp_path / f"r{i}.json", json.dumps(doc))])
+        codes.add(rc)
+        # Every object in a score report is a record, so each deleted key is a missing field.
+        if value is _DELETE and isinstance(path[-1], str):
+            assert rc == 2, path
     listed = set()
-    for i, doc in enumerate(_mutations(entry)):
+    for i, (path, value, doc) in enumerate(_mutations(entry)):
         store = tmp_path / f"lb{i}.jsonl"
         _write(store, json.dumps(doc) + "\n")
         codes.add(main(["leaderboard", "--store", str(store)]))
-        listed.add(len(leaderboard_list(store)))
+        n_listed = len(leaderboard_list(store))
+        listed.add(n_listed)
+        # A deleted top-level key is a missing field; the nested objects are maps, free to lose a key.
+        if value is _DELETE and len(path) == 1:
+            assert n_listed == 0, path
     capsys.readouterr()
     assert codes == {0, 2}
     assert listed == {0, 1}

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import sys
+import time
+from dataclasses import asdict
 
 import pytest
 
@@ -55,6 +58,21 @@ class TestRunTraining:
         out = run_training(spec, small_bench / "train", budget_s=1.0)
         assert out.rejected
         assert "training budget exceeded" in out.reason
+
+    def test_budget_kills_the_whole_process_group(self, small_bench, tmp_path):
+        # The command's background child touches `started` at once and `late` 2 s in,
+        # after the budget; it outlives the command unless the whole group is killed.
+        started, late = tmp_path / "started", tmp_path / "late"
+        spec = PredictorSpec(
+            label="forker",
+            command=[sys.executable, "-c", "pass"],
+            training_command=["sh", "-c", '(touch "$1"; sleep 2; touch "$2") & wait', "sh", str(started), str(late)],
+        )
+        out = run_training(spec, small_bench / "train", budget_s=1.0)
+        assert out.rejected
+        time.sleep(2.0)
+        assert started.exists()
+        assert not late.exists()
 
     def test_external_failure_exit_code_surfaces(self, small_bench):
         spec = PredictorSpec(
@@ -222,10 +240,15 @@ def _entry(label: str, score: float, ts: str) -> LeaderboardEntry:
         label=label,
         timestamp=ts,
         scoring_config_digest="cfg",
+        dataset_digests={},
         global_score=score,
         score_ml=score,
         score_ood=score,
         score_physics=score,
+        classifications={},
+        speedups={},
+        rejection_reason=None,
+        timing="builtin-loop",
     )
 
 
@@ -271,12 +294,23 @@ class TestLeaderboard:
         store = tmp_path / "lb.jsonl"
         append_leaderboard_entry(store, _entry("good", 0.7, "t"))
         with store.open("a") as fh:
-            fh.write('{"label": "bad", "timestamp": "t", "scoring_config_digest": "cfg", "global_score": "x"}\n')
+            fh.write(json.dumps({**asdict(_entry("bad", 0.5, "t")), "global_score": "x"}) + "\n")
         append_leaderboard_entry(store, _entry("second", 0.2, "t"))
         with caplog.at_level("WARNING"):
             entries = leaderboard_list(store)
         assert [e.label for e in entries] == ["good", "second"]
         assert any(":2: skipping corrupt" in r.message and "global_score" in r.message for r in caplog.records)
+
+    def test_line_that_is_not_utf8_skipped_with_warning(self, tmp_path, caplog):
+        store = tmp_path / "lb.jsonl"
+        append_leaderboard_entry(store, _entry("good", 0.7, "t"))
+        with store.open("ab") as fh:
+            fh.write(b'{"label": "\xff"}\n')
+        append_leaderboard_entry(store, _entry("second", 0.2, "t"))
+        with caplog.at_level("WARNING"):
+            entries = leaderboard_list(store)
+        assert [e.label for e in entries] == ["good", "second"]
+        assert any(":2: skipping corrupt" in r.message for r in caplog.records)
 
 
 def _table_report():

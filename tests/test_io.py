@@ -304,8 +304,8 @@ RECORDS = {
     "score-report-rejected": lambda: rejected_report("training budget exceeded (2 s)"),
     "leaderboard-entry": lambda: LeaderboardEntry(
         label="knn:5", timestamp="2024-01-02T00:00:00Z", scoring_config_digest="cfg",
-        dataset_digests={"ood": "b", "test": "a"}, global_score=0.4125, score_ml=0.5,
-        classifications={"ml": {"p": "U", "u_x": "G"}}, speedups={"ood": 1e4, "test": 750.0},
+        dataset_digests={"ood": "b", "test": "a"}, global_score=0.4125, score_ml=0.5, score_ood=0.25,
+        score_physics=0.5, classifications={"ml": {"p": "U", "u_x": "G"}}, speedups={"ood": 1e4, "test": 750.0},
         rejection_reason="late", timing="external-process",
     ),
     "generation-config": lambda: GenerationConfig(n_train=5, seed=99),
@@ -343,11 +343,13 @@ def test_generation_config_digest_ignores_integer_spelling_of_floats():
     (FieldCriterion, {"name": "p", "channel": "rho"}, "criterion 'p': unknown channel 'rho'"),
     (GenerationConfig, {"u_inf_range": [30.0, 50.0, 70.0]}, r"u_inf_range: expected tuple\[float, float\]"),
     (GenerationConfig, {"n_test": 2.0}, "n_test: expected int, got 2.0"),
-    (LeaderboardEntry, {"label": "a", "timestamp": "t", "scoring_config_digest": "c", "speedups": {"test": "x"}},
+    (LeaderboardEntry, {**asdict(RECORDS["leaderboard-entry"]()), "speedups": {"test": "x"}},
      "speedups.test: expected float"),
     (ScoreReport, {**asdict(rejected_report("r")), "ml": {"name": "ml", "criteria": [{}]}},
      r"ml.criteria\[0\]: missing key 'name'"),
     (ScoreReport, {**asdict(rejected_report("r")), "rejection_reason": 3}, "rejection_reason: expected str"),
+    (LeaderboardEntry, {"label": "a", "timestamp": "t", "scoring_config_digest": "c", "speedups": {"test": 1.0}},
+     "missing key 'dataset_digests'"),
 ])
 def test_decode_names_the_refused_field(tp, doc, message):
     with pytest.raises(FormatError, match=rf"^source\.json: {message}"):

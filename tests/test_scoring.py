@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -212,6 +213,12 @@ def _table_values():
     return ml, ood, ph
 
 
+def _counts(category):
+    """The category's (Great, Acceptable, Unacceptable) criterion counts."""
+    markers = category.markers().split()
+    return markers.count("G"), markers.count("A"), markers.count("U")
+
+
 class TestScoreFromValues:
     def test_reference_pipeline(self):
         ml, ood, ph = _table_values()
@@ -221,9 +228,9 @@ class TestScoreFromValues:
         assert report.physics.score == 0.25
         assert report.global_score == pytest.approx(0.3283, abs=5e-4)
         assert report.ml.markers() == "U A U G U"
-        assert report.ml.counts() == (1, 1, 3)
-        assert report.ood.counts() == (1, 1, 7)
-        assert report.physics.counts() == (0, 2, 2)
+        assert _counts(report.ml) == (1, 1, 3)
+        assert _counts(report.ood) == (1, 1, 7)
+        assert _counts(report.physics) == (0, 2, 2)
 
     def test_rejection_zeroes_global(self):
         report = rejected_report("training budget exceeded (2 s)")
@@ -303,15 +310,11 @@ class TestScoringConfig:
         assert cfg.alpha_ml == 0.4 and cfg.alpha_ood == 0.3 and cfg.alpha_ph == 0.3
         assert cfg.alpha_a == 0.75 and cfg.alpha_s == 0.25
         assert cfg.speedup_max == 10000.0
-        for name, _, t1, t2, direction, _ in REFERENCE_ROWS_ML:
-            spec = cfg.thresholds_ml[name]
-            assert (spec.t1, spec.t2, spec.direction.value) == (t1, t2, direction)
-        for name, _, t1, t2, direction, _ in REFERENCE_ROWS_OOD:
-            spec = cfg.thresholds_ood[name]
-            assert (spec.t1, spec.t2, spec.direction.value) == (t1, t2, direction)
-        for name, _, t1, t2, direction, _ in REFERENCE_ROWS_PHYSICS:
-            spec = cfg.thresholds_physics[name]
-            assert (spec.t1, spec.t2, spec.direction.value) == (t1, t2, direction)
+        for category, rows in (("ml", REFERENCE_ROWS_ML), ("ood", REFERENCE_ROWS_OOD),
+                               ("physics", REFERENCE_ROWS_PHYSICS)):
+            for name, _, t1, t2, direction, _ in rows:
+                spec = cfg.thresholds[category][name]
+                assert (spec.t1, spec.t2, spec.direction.value) == (t1, t2, direction)
 
     def test_weight_sum_enforced(self):
         cfg = default_scoring_config()
@@ -321,15 +324,22 @@ class TestScoringConfig:
     def test_criterion_name_sets_enforced(self):
         cfg = default_scoring_config()
         with pytest.raises(ConfigError, match="ml thresholds"):
-            replace(cfg, thresholds_ml={**cfg.thresholds_ml, "extra": ThresholdSpec(0, 1, Direction.MIN)})
+            replace(cfg, thresholds={**cfg.thresholds,
+                                     "ml": {**cfg.thresholds["ml"], "extra": ThresholdSpec(0, 1, Direction.MIN)}})
+        with pytest.raises(ConfigError, match="thresholds must hold exactly"):
+            replace(cfg, thresholds={**cfg.thresholds, "extra": cfg.thresholds["physics"]})
 
     def test_json_roundtrip(self, tmp_path):
         cfg = default_scoring_config()
         path = tmp_path / "scoring.json"
-        write_json(path, cfg.to_dict())
+        write_json(path, asdict(cfg))
         back = ScoringConfig.from_dict(read_json(path))
         assert back == cfg
         assert back.digest() == cfg.digest()
+
+    def test_dataclass_layout_is_the_shipped_json_layout(self):
+        shipped = resources.files("airbench.data") / "default_scoring.json"
+        assert json.loads(json.dumps(asdict(default_scoring_config()))) == json.loads(shipped.read_text())
 
     def test_report_dict_roundtrip(self):
         ml, ood, ph = _table_values()
