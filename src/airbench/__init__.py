@@ -45,12 +45,7 @@ from .synthflow import (
     distance_to_surface,
     generate_benchmark,
     generate_split,
-    nu_t_at,
-    pressure_at,
     sample_point_cloud,
-    splitmix64,
-    surface_nodes,
-    velocity_at,
 )
 from .metrics import (
     FieldCriterion,
@@ -58,7 +53,6 @@ from .metrics import (
     evaluate_split,
     field_error,
     force_coefficients,
-    mean_relative_error,
     spearman_with_flag,
 )
 from .scoring import (

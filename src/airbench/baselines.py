@@ -70,10 +70,9 @@ class KnnModel:
     outputs: np.ndarray      # (M, 4) training outputs u_x, u_y, p_s, nu_t
     starts: np.ndarray       # (S,) first row of each training sample
     trees: list[cKDTree]     # (S,) per sample, over the spatial features x, y, distance
-    weights: str = "idw"     # "idw" or "uniform"
 
 
-def knn_fit(train: Dataset, k: int, weights: str = "idw") -> KnnModel:
+def knn_fit(train: Dataset, k: int) -> KnnModel:
     """Pool all training nodes and index them for neighbor queries.
 
     Features are normalized by their per-feature standard deviation over the
@@ -81,8 +80,6 @@ def knn_fit(train: Dataset, k: int, weights: str = "idw") -> KnnModel:
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    if weights not in ("idw", "uniform"):
-        raise ParameterError(f"unknown weight mode {weights!r}")
     if not train.samples:
         raise ParameterError("cannot fit on an empty training split")
     feats = np.vstack([_node_features(s) for s in train.samples])
@@ -105,7 +102,6 @@ def knn_fit(train: Dataset, k: int, weights: str = "idw") -> KnnModel:
         outputs=outs,
         starts=bounds[:-1],
         trees=[cKDTree(scaled[a:b, :3]) for a, b in zip(bounds[:-1], bounds[1:])],
-        weights=weights,
     )
 
 
@@ -151,17 +147,13 @@ def knn_predict(model: KnnModel, sample: Sample) -> FieldSet:
     dist = np.take_along_axis(dist, order, axis=1)
     idx = np.take_along_axis(idx, order, axis=1)
 
-    neigh_out = model.outputs[idx]  # (n, k, 4)
-    if model.weights == "uniform":
-        pred = neigh_out.mean(axis=1)
-    else:
-        # Exact matches get infinite weight; those rows are overwritten below.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = 1.0 / dist
-            pred = np.einsum("nk,nkc->nc", w, neigh_out) / np.sum(w, axis=1)[:, None]
-        exact = dist[:, 0] == 0.0
-        if np.any(exact):
-            pred[exact] = model.outputs[idx[exact, 0]]
+    # Exact matches get infinite weight; those rows are overwritten below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = 1.0 / dist
+        pred = np.einsum("nk,nkc->nc", w, model.outputs[idx]) / np.sum(w, axis=1)[:, None]
+    exact = dist[:, 0] == 0.0
+    if np.any(exact):
+        pred[exact] = model.outputs[idx[exact, 0]]
     return FieldSet(u_x=pred[:, 0], u_y=pred[:, 1], p_s=pred[:, 2], nu_t=pred[:, 3])
 
 
@@ -191,14 +183,13 @@ class ConstantPredictor:
 
 
 class KnnPredictor:
-    def __init__(self, k: int, weights: str = "idw"):
+    def __init__(self, k: int):
         self.label = f"knn:{k}"
         self.k = k
-        self.weights = weights
         self._model = None
 
     def fit(self, train: Dataset) -> None:
-        self._model = knn_fit(train, self.k, self.weights)
+        self._model = knn_fit(train, self.k)
 
     def predict(self, sample: Sample) -> FieldSet:
         if self._model is None:

@@ -54,7 +54,6 @@ def _predictor_spec(args) -> PredictorSpec:
         command=None if builtin else shlex.split(name),
         working_dir=None if builtin else getattr(args, "workdir", None),
         training_command=shlex.split(args.train_cmd) if getattr(args, "train_cmd", None) else None,
-        training_budget_s=getattr(args, "train_budget", None),
     )
 
 
@@ -78,7 +77,7 @@ def _cmd_evaluate(args) -> int:
     out = Path(args.out)
     outcome, split_metrics = evaluate_benchmark(
         _predictor_spec(args), args.bench, _scoring_config(args.config), out,
-        fixed_inference_time_s=args.fixed_time, repeat=args.repeat,
+        fixed_inference_time_s=args.fixed_time,
     )
     if outcome.rejected:
         print(f"rejected: {outcome.reason}", file=sys.stderr)
@@ -107,7 +106,6 @@ def _cmd_run(args) -> int:
         store_path=resolve_store_path(args.store),
         fixed_inference_time_s=args.fixed_time,
         include_timestamp=not args.no_timestamp,
-        repeat=args.repeat,
     )
     print(render_report(report, label=entry.label), end="")
     return EXIT_REJECTED if report.rejected else EXIT_OK
@@ -147,12 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--predictor", required=True, help="builtin name (oracle, constant, knn:<k>) or external command")
         p.add_argument("--label", default=None, help="leaderboard label (defaults to the predictor name)")
         p.add_argument("--config", default=None, help="scoring config JSON (shipped default if omitted)")
-        p.add_argument("--repeat", type=int, default=1, help="time inference k times, keep the minimum")
         p.add_argument("--fixed-time", type=float, default=None, dest="fixed_time",
                        help="score with this fixed inference time instead of the measured one")
         p.add_argument("--train-cmd", default=None, dest="train_cmd", help="external training command")
-        p.add_argument("--train-budget", type=float, default=None, dest="train_budget",
-                       help="training wall-clock budget in seconds (defaults to the scoring config)")
         p.add_argument("--workdir", default=None, help="working directory for external commands")
 
     p = sub.add_parser("evaluate", help="run a predictor and write raw metrics")
@@ -189,7 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        print(f"airbench: unrecognized arguments: {' '.join(unknown)}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         return args.func(args)
     except (TrainingError, InferenceError) as e:

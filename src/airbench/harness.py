@@ -11,6 +11,7 @@ advisory lock.
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import json
 import logging
@@ -68,7 +69,6 @@ class PredictorSpec:
     command: list[str] | None = None
     working_dir: str | None = None
     training_command: list[str] | None = None
-    training_budget_s: float | None = None
 
     def __post_init__(self):
         if (self.builtin is None) == (self.command is None):
@@ -77,8 +77,6 @@ class PredictorSpec:
             raise ConfigError("external predictor command is empty")
         if self.training_command is not None and len(self.training_command) == 0:
             raise ConfigError("training command is empty")
-        if self.training_budget_s is not None and not self.training_budget_s > 0:
-            raise ConfigError("training budget must be positive")
 
 
 @dataclass
@@ -92,6 +90,30 @@ class TrainingOutcome:
         return self.status == "rejected"
 
 
+def _run_command(argv: list[str], cwd: str | None, timeout: float | None = None) -> tuple[int | None, str]:
+    """Run an external command in a session of its own and wait for it to exit.
+
+    Its stdout is discarded and its stderr goes to a temporary file, so a
+    background child cannot hold the wait open through a pipe. Whatever is
+    left of its process group when it exits or times out is killed. Returns
+    the exit status (None at the timeout) and the first 500 characters of
+    stderr.
+    """
+    with tempfile.TemporaryFile() as stderr:
+        proc = subprocess.Popen(argv, cwd=cwd, stdout=subprocess.DEVNULL, stderr=stderr, start_new_session=True)
+        try:
+            status = proc.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            status = None
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        stderr.seek(0)
+        head = stderr.read(2000).decode(errors="replace").strip()[:500]  # 500 UTF-8 characters fit in 2000 bytes
+    return status, head
+
+
 def run_training(
     spec: PredictorSpec,
     train_dir: str | Path,
@@ -101,39 +123,25 @@ def run_training(
 ) -> TrainingOutcome:
     """Train within the wall-clock budget; overruns reject the submission.
 
-    An external training command runs in a session of its own, and at the
-    budget its whole process group is killed and the run rejected; a
-    nonzero exit status is a training failure (TrainingError), which is a
-    different thing than a budget rejection. Builtin fits run in-process and
-    are rejected after the fact if they took too long.
+    An external training command is stopped at the budget and the run
+    rejected; a nonzero exit status is a training failure (TrainingError),
+    which is a different thing than a budget rejection. Builtin fits run
+    in-process and are rejected after the fact if they took too long.
     """
     if spec.command is not None:
         if spec.training_command is None:
             return TrainingOutcome(status="trained", elapsed_s=0.0)
         t0 = clock()
-        with subprocess.Popen(
-            spec.training_command + [str(train_dir)],
-            cwd=spec.working_dir,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            start_new_session=True,
-        ) as proc:
-            try:
-                _, stderr = proc.communicate(timeout=budget_s)
-            except subprocess.TimeoutExpired:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
-                return TrainingOutcome(
-                    status="rejected",
-                    reason=f"training budget exceeded ({budget_s:g} s)",
-                    elapsed_s=clock() - t0,
-                )
+        status, stderr = _run_command(spec.training_command + [str(train_dir)], spec.working_dir, timeout=budget_s)
         elapsed = clock() - t0
-        if proc.returncode != 0:
-            raise TrainingError(
-                f"training command exited with status {proc.returncode}: "
-                f"{stderr.decode(errors='replace').strip()[:500]}"
+        if status is None:
+            return TrainingOutcome(
+                status="rejected",
+                reason=f"training budget exceeded ({budget_s:g} s)",
+                elapsed_s=elapsed,
             )
+        if status != 0:
+            raise TrainingError(f"training command exited with status {status}: {stderr}")
         return TrainingOutcome(status="trained", elapsed_s=elapsed)
 
     if predictor is None:
@@ -158,7 +166,6 @@ def run_inference(
     pred_dir: str | Path,
     predictor=None,
     clock=time.perf_counter,
-    repeat: int = 1,
 ) -> tuple[float, list[Prediction]]:
     """Produce predictions for one split and measure wall-clock seconds.
 
@@ -166,45 +173,29 @@ def run_inference(
     handed the directory, a builtin one the samples. External: the timer
     brackets the whole process invocation. Builtin: the timer brackets the
     prediction loop only; writing prediction files and verifying them happen
-    outside it. With repeat > 1 the measurement is the minimum over
-    repetitions. Returns the measured seconds and the verified predictions.
+    outside it. Returns the measured seconds and the verified predictions.
     """
-    if repeat < 1:
-        raise ConfigError(f"repeat must be >= 1, got {repeat}")
     pred_dir = Path(pred_dir)
     pred_dir.mkdir(parents=True, exist_ok=True)
 
-    times = []
     if spec.command is not None:
-        for _ in range(repeat):
-            t0 = clock()
-            proc = subprocess.run(
-                spec.command + [str(dataset_dir), str(pred_dir)],
-                cwd=spec.working_dir,
-                capture_output=True,
-            )
-            times.append(clock() - t0)
-            if proc.returncode != 0:
-                raise InferenceError(
-                    f"predictor exited with status {proc.returncode}: "
-                    f"{proc.stderr.decode(errors='replace').strip()[:500]}"
-                )
+        t0 = clock()
+        status, stderr = _run_command(spec.command + [str(dataset_dir), str(pred_dir)], spec.working_dir)
+        elapsed = clock() - t0
+        if status != 0:
+            raise InferenceError(f"predictor exited with status {status}: {stderr}")
     else:
         if predictor is None:
             raise ParameterError("builtin inference requires a predictor instance")
-        fields = None
-        for _ in range(repeat):
-            t0 = clock()
-            fields = [predictor.predict(s) for s in dataset.samples]
-            times.append(clock() - t0)
+        t0 = clock()
+        fields = [predictor.predict(s) for s in dataset.samples]
+        elapsed = clock() - t0
         write_predictions(
             [Prediction(sample_id=s.id, fields=f) for s, f in zip(dataset.samples, fields)],
             pred_dir,
         )
 
-    elapsed = min(times)
-    predictions = read_predictions(pred_dir, dataset)
-    return elapsed, predictions
+    return elapsed, read_predictions(pred_dir, dataset)
 
 
 @dataclass
@@ -301,23 +292,20 @@ def evaluate_benchmark(
     out_dir: str | Path,
     *,
     fixed_inference_time_s: float | None,
-    repeat: int,
     clock=time.perf_counter,
 ) -> tuple[TrainingOutcome, dict[str, SplitMetrics] | None]:
     """Train, then run inference on the test and OOD splits and evaluate them.
 
     Each split is read once; its predictions go to ``out_dir/pred/<split>``.
     `fixed_inference_time_s` substitutes a deterministic stub time for each
-    split's measured one. The config's solver-time source is applied here,
-    so each split's `total_solver_time_s` is the reference total its
-    speed-up divides. Returns the training outcome and
-    {split: SplitMetrics}, or None for the metrics if training was rejected.
+    split's measured one. Training runs against the config's budget.
+    Returns the training outcome and {split: SplitMetrics}, or None for the
+    metrics if training was rejected.
     """
     bench_dir = Path(bench_dir)
     out_dir = Path(out_dir)
     predictor = resolve_builtin(spec.builtin) if spec.builtin is not None else None
-    budget = spec.training_budget_s if spec.training_budget_s is not None else config.training_budget_s
-    outcome = run_training(spec, bench_dir / "train", budget, predictor=predictor, clock=clock)
+    outcome = run_training(spec, bench_dir / "train", config.training_budget_s, predictor=predictor, clock=clock)
     if outcome.rejected:
         return outcome, None
 
@@ -327,13 +315,10 @@ def evaluate_benchmark(
         dataset = read_dataset(split_dir)
         elapsed, predictions = run_inference(
             spec, split_dir, dataset, out_dir / "pred" / name,
-            predictor=predictor, clock=clock, repeat=repeat,
+            predictor=predictor, clock=clock,
         )
         used = elapsed if fixed_inference_time_s is None else float(fixed_inference_time_s)
-        metrics = evaluate_split(dataset, predictions, config.field_criteria, total_inference_time_s=used)
-        if config.solver_time_source == "constant":
-            metrics.total_solver_time_s = config.solver_time_constant_s * len(dataset.samples)
-        split_metrics[name] = metrics
+        split_metrics[name] = evaluate_split(dataset, predictions, config.field_criteria, total_inference_time_s=used)
     return outcome, split_metrics
 
 
@@ -364,7 +349,6 @@ def run_benchmark(
     store_path: str | Path | None = None,
     fixed_inference_time_s: float | None = None,
     include_timestamp: bool = True,
-    repeat: int = 1,
     clock=time.perf_counter,
 ) -> tuple[ScoreReport, LeaderboardEntry]:
     """Full pipeline: `evaluate_benchmark`, then `score_metrics`, then record.
@@ -390,7 +374,7 @@ def run_benchmark(
         digests = {name: dataset_digest(bench_dir / name) for name in ("train", *SCORED_SPLITS)}
         outcome, split_metrics = evaluate_benchmark(
             spec, bench_dir, config, out_dir,
-            fixed_inference_time_s=fixed_inference_time_s, repeat=repeat, clock=clock,
+            fixed_inference_time_s=fixed_inference_time_s, clock=clock,
         )
         if outcome.rejected:
             report = rejected_report(outcome.reason)

@@ -182,8 +182,6 @@ class ScoringConfig:
     training_budget_s: float
     thresholds: dict[str, dict[str, ThresholdSpec]]
     field_criteria: tuple[FieldCriterion, ...]
-    solver_time_source: str = "sample_meta"  # or "constant"
-    solver_time_constant_s: float = 1500.0
 
     def __post_init__(self):
         if abs(self.alpha_ml + self.alpha_ood + self.alpha_ph - 1.0) > 1e-12:
@@ -194,10 +192,6 @@ class ScoringConfig:
             raise ConfigError(f"speedup_max must be > 1, got {self.speedup_max}")
         if not self.training_budget_s > 0:
             raise ConfigError("training_budget_s must be positive")
-        if self.solver_time_source not in ("sample_meta", "constant"):
-            raise ConfigError(f"unknown solver_time_source {self.solver_time_source!r}")
-        if self.solver_time_source == "constant" and not self.solver_time_constant_s > 0:
-            raise ConfigError("solver_time_constant_s must be positive")
         if set(self.thresholds) != set(CATEGORIES):
             raise ConfigError(f"thresholds must hold exactly {sorted(CATEGORIES)}, got {sorted(self.thresholds)}")
         for label, names in CATEGORIES.items():

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,11 +194,10 @@ def test_criterion_8_rejection_rule(toy_bench_dir, tmp_path):
         label="over-budget",
         command=[sys.executable, "-c", "pass"],
         training_command=[sys.executable, "-c", "import time; time.sleep(30)"],
-        training_budget_s=2.0,
     )
     store = tmp_path / "lb.jsonl"
     report, entry = run_benchmark(
-        spec, toy_bench_dir, default_scoring_config(),
+        spec, toy_bench_dir, replace(default_scoring_config(), training_budget_s=2.0),
         out_dir=tmp_path / "run", store_path=store,
     )
     assert report.rejected

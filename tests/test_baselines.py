@@ -115,16 +115,6 @@ class TestKnn:
         pred = knn_predict(model, s)
         np.testing.assert_array_equal(pred.u_x, s.truth_fields.u_x)
 
-    def test_all_nodes_uniform_equals_constant(self, train_ds, test_ds):
-        n_total = sum(s.n_nodes for s in train_ds.samples)
-        model = knn_fit(train_ds, k=n_total, weights="uniform")
-        stats = fit_channel_means(train_ds)
-        s = test_ds.samples[0]
-        pred = knn_predict(model, s)
-        expect = constant_predict(stats, s)
-        np.testing.assert_allclose(pred.u_x, expect.u_x, rtol=1e-12)
-        np.testing.assert_allclose(pred.nu_t, expect.nu_t, rtol=1e-12)
-
     def test_deterministic(self, train_ds, test_ds):
         m1 = knn_fit(train_ds, k=5)
         m2 = knn_fit(train_ds, k=5)

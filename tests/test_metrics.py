@@ -22,10 +22,10 @@ from airbench import (
     evaluate_split,
     field_error,
     force_coefficients,
-    mean_relative_error,
     sample_point_cloud,
     spearman_with_flag,
 )
+from airbench.metrics import mean_relative_error
 
 from conftest import CAMBERED, SYMMETRIC
 

@@ -23,14 +23,10 @@ from airbench import (
     distance_to_surface,
     generate_benchmark,
     generate_split,
-    nu_t_at,
-    pressure_at,
     sample_point_cloud,
-    splitmix64,
-    surface_nodes,
     validate_sample,
-    velocity_at,
 )
+from airbench.synthflow import nu_t_at, pressure_at, splitmix64, surface_nodes, velocity_at
 
 from conftest import CAMBERED, SYMMETRIC, TINY_CONFIG
 
