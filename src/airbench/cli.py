@@ -131,8 +131,15 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise AirbenchError instead of exiting."""
+
+    def error(self, message):
+        raise AirbenchError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="airbench", description=__doc__)
+    parser = _Parser(prog="airbench", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("generate", help="generate a benchmark directory")
@@ -183,12 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args, unknown = parser.parse_known_args(argv)
-    if unknown:
-        print(f"airbench: unrecognized arguments: {' '.join(unknown)}", file=sys.stderr)
-        return EXIT_VALIDATION
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (TrainingError, InferenceError) as e:
         print(f"airbench: predictor failure: {e}", file=sys.stderr)

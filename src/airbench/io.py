@@ -45,10 +45,14 @@ from .model import (
 SAMPLE_CSV_HEADER = "x,y,dist,nx,ny,is_surf,u_x,u_y,p_s,nu_t"
 PRED_CSV_HEADER = "u_x,u_y,p_s,nu_t"
 _FLOAT_FMT = "%.17g"
+_SAMPLE_ROW = ",".join([_FLOAT_FMT] * 5 + ["%d"] + [_FLOAT_FMT] * 4) + "\n"
+_PRED_ROW = ",".join([_FLOAT_FMT] * 4) + "\n"
 
 
-def _fmt(value: float) -> str:
-    return _FLOAT_FMT % value
+def _csv_text(header: str, columns: list[np.ndarray], row_format: str) -> str:
+    """`header`, then one `row_format` line per row of `columns`, formatted with one `%`."""
+    block = np.column_stack(columns)
+    return header + "\n" + (row_format * len(block)) % tuple(block.ravel().tolist())
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -168,25 +172,19 @@ def json_digest(obj) -> str:
 
 
 def _sample_csv_text(sample: Sample) -> str:
-    cols = [
+    columns = [
         sample.positions[:, 0],
         sample.positions[:, 1],
         sample.distance,
         sample.normals[:, 0],
         sample.normals[:, 1],
-        sample.is_surface.astype(np.int64),
+        sample.is_surface,
         sample.truth_fields.u_x,
         sample.truth_fields.u_y,
         sample.truth_fields.p_s,
         sample.truth_fields.nu_t,
     ]
-    lines = [SAMPLE_CSV_HEADER]
-    for row in zip(*cols):
-        parts = []
-        for j, val in enumerate(row):
-            parts.append(str(int(val)) if j == 5 else _fmt(val))
-        lines.append(",".join(parts))
-    return "\n".join(lines) + "\n"
+    return _csv_text(SAMPLE_CSV_HEADER, columns, _SAMPLE_ROW)
 
 
 def write_dataset(dataset: Dataset, directory: str | Path) -> None:
@@ -305,10 +303,8 @@ def write_predictions(predictions: list[Prediction], pred_dir: str | Path) -> No
     pred_dir.mkdir(parents=True, exist_ok=True)
     for pred in predictions:
         f = pred.fields
-        lines = [PRED_CSV_HEADER]
-        for row in zip(f.u_x, f.u_y, f.p_s, f.nu_t):
-            lines.append(",".join(_fmt(v) for v in row))
-        (pred_dir / f"{pred.sample_id}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = _csv_text(PRED_CSV_HEADER, [f.u_x, f.u_y, f.p_s, f.nu_t], _PRED_ROW)
+        (pred_dir / f"{pred.sample_id}.csv").write_text(text, encoding="utf-8")
 
 
 def read_predictions(pred_dir: str | Path, dataset: Dataset) -> list[Prediction]:

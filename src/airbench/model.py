@@ -164,48 +164,73 @@ def _cross(ox, oy, ax, ay, bx, by):
     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
+# Candidate edge pairs expanded and tested at once; bounds polygon_is_simple's memory.
+_PAIRS_PER_PASS = 1 << 16
+
+
 def polygon_is_simple(points: np.ndarray) -> bool:
     """True iff the closed polygon through `points` has no self-intersection.
 
     Consecutive edges share one endpoint by construction; any other contact
     between two edges (crossing, touching, or collinear overlap) makes the
-    polygon non-simple. O(S^2), vectorized per edge.
+    polygon non-simple. A polygon with fewer than 3 points or a non-finite
+    coordinate is not simple.
+
+    Every contact lies inside both edges' closed bounding boxes, so only edge
+    pairs whose boxes overlap are tested; a crossing that only rounding in
+    the cross products reports, between edges with disjoint boxes, is not
+    contact. A sweep over the edges sorted by lowest x pairs each edge with
+    the later ones that start inside its x-extent, and those pairs are tested
+    in passes of at most `_PAIRS_PER_PASS`. Time O(S log S + K) for S edges
+    and K pairs that overlap in x; memory O(S + pass size).
     """
     pts = np.asarray(points, dtype=np.float64)
     s = len(pts)
-    if s < 3:
+    if s < 3 or not np.all(np.isfinite(pts)):
         return False
-    nxt = np.roll(np.arange(s), -1)
     p1 = pts
-    p2 = pts[nxt]
-    for i in range(s - 2):
-        # Candidate partner edges: j in [i+2, s-1], excluding the wrap pair (0, s-1).
-        j0 = i + 2
-        j1 = s - 1 if i == 0 else s
-        if j0 >= j1:
-            continue
-        a1, a2 = p1[i], p2[i]
-        b1 = p1[j0:j1]
-        b2 = p2[j0:j1]
-        d1 = _cross(b1[:, 0], b1[:, 1], b2[:, 0], b2[:, 1], a1[0], a1[1])
-        d2 = _cross(b1[:, 0], b1[:, 1], b2[:, 0], b2[:, 1], a2[0], a2[1])
-        d3 = _cross(a1[0], a1[1], a2[0], a2[1], b1[:, 0], b1[:, 1])
-        d4 = _cross(a1[0], a1[1], a2[0], a2[1], b2[:, 0], b2[:, 1])
+    p2 = np.roll(pts, -1, axis=0)
+    lo = np.minimum(p1, p2)
+    hi = np.maximum(p1, p2)
+    order = np.argsort(lo[:, 0], kind="stable")
+    y_lo, y_hi = lo[order, 1], hi[order, 1]
+    # Sorted edge k overlaps in x exactly the sorted edges k+1 .. end[k]-1; its
+    # pairs are numbered before[k] .. through[k]-1, and pair p pairs it with
+    # sorted edge p - shift[k].
+    end = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+    counts = end - np.arange(1, s + 1)
+    through = np.cumsum(counts)
+    before = through - counts
+    shift = through - end
+    k0 = 0
+    while k0 < s:
+        k1 = max(int(np.searchsorted(through, before[k0] + _PAIRS_PER_PASS, side="right")), k0 + 1)
+        c = counts[k0:k1]
+        m = np.arange(before[k0], through[k1 - 1]) - np.repeat(shift[k0:k1], c)
+        keep = (y_lo[m] <= np.repeat(y_hi[k0:k1], c)) & (np.repeat(y_lo[k0:k1], c) <= y_hi[m])
+        e, f = np.repeat(order[k0:k1], c)[keep], order[m[keep]]
+        k0 = k1
+        i, j = np.minimum(e, f), np.maximum(e, f)
+        # Consecutive edges (the wrap pair (0, s-1) included) share an endpoint.
+        keep = (j - i >= 2) & ((i > 0) | (j < s - 1))
+        i, j = i[keep], j[keep]
+        a1, a2, b1, b2 = p1[i], p2[i], p1[j], p2[j]
+        d1 = _cross(b1[:, 0], b1[:, 1], b2[:, 0], b2[:, 1], a1[:, 0], a1[:, 1])
+        d2 = _cross(b1[:, 0], b1[:, 1], b2[:, 0], b2[:, 1], a2[:, 0], a2[:, 1])
+        d3 = _cross(a1[:, 0], a1[:, 1], a2[:, 0], a2[:, 1], b1[:, 0], b1[:, 1])
+        d4 = _cross(a1[:, 0], a1[:, 1], a2[:, 0], a2[:, 1], b2[:, 0], b2[:, 1])
         if np.any((d1 * d2 < 0) & (d3 * d4 < 0)):
             return False
         # Collinear or endpoint contact: a zero cross product with the point
-        # inside the other segment's bounding box counts as contact.
-        if np.any(d1 == 0.0) or np.any(d2 == 0.0) or np.any(d3 == 0.0) or np.any(d4 == 0.0):
-            lo_a, hi_a = np.minimum(a1, a2), np.maximum(a1, a2)
-            lo_b, hi_b = np.minimum(b1, b2), np.maximum(b1, b2)
-            if np.any((d3 == 0.0) & np.all((b1 >= lo_a) & (b1 <= hi_a), axis=1)):
-                return False
-            if np.any((d4 == 0.0) & np.all((b2 >= lo_a) & (b2 <= hi_a), axis=1)):
-                return False
-            if np.any((d1 == 0.0) & np.all((a1 >= lo_b) & (a1 <= hi_b), axis=1)):
-                return False
-            if np.any((d2 == 0.0) & np.all((a2 >= lo_b) & (a2 <= hi_b), axis=1)):
-                return False
+        # inside the other edge's bounding box counts as contact.
+        lo_a, hi_a, lo_b, hi_b = lo[i], hi[i], lo[j], hi[j]
+        if (
+            np.any((d3 == 0.0) & np.all((b1 >= lo_a) & (b1 <= hi_a), axis=1))
+            or np.any((d4 == 0.0) & np.all((b2 >= lo_a) & (b2 <= hi_a), axis=1))
+            or np.any((d1 == 0.0) & np.all((a1 >= lo_b) & (a1 <= hi_b), axis=1))
+            or np.any((d2 == 0.0) & np.all((a2 >= lo_b) & (a2 <= hi_b), axis=1))
+        ):
+            return False
     return True
 
 

@@ -344,6 +344,10 @@ MALFORMED = {
     "run-train-budget": lambda bench, tmp: [
         "run", "--predictor", "oracle", "--bench", str(bench), "--out", str(tmp / "out"),
         "--store", str(tmp / "lb.jsonl"), "--train-budget", "1"],
+    "run-without-bench": lambda bench, tmp: ["run", "--predictor", "oracle"],
+    "run-fixed-time-not-a-number": lambda bench, tmp: [
+        "run", "--predictor", "oracle", "--bench", str(bench), "--out", str(tmp / "out"),
+        "--store", str(tmp / "lb.jsonl"), "--fixed-time", "abc"],
 }
 
 
@@ -352,6 +356,16 @@ def test_malformed_input_is_validation_error(bench, tmp_path, capsys, case):
     rc = main(MALFORMED[case](bench, tmp_path))
     assert rc == 2
     assert capsys.readouterr().err.startswith("airbench: ")
+
+
+def test_unknown_flag_is_named_and_help_exits_zero(bench, tmp_path, capsys):
+    argv = ["run", "--predictor", "oracle", "--bench", str(bench), "--store", str(tmp_path / "lb.jsonl")]
+    assert main(argv + ["--bogus"]) == 2
+    assert capsys.readouterr().err == "airbench: unrecognized arguments: --bogus\n"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--help"])
+    assert exit_info.value.code == 0
+    assert "--fixed-time" in capsys.readouterr().out
 
 
 def test_valid_metrics_and_report_docs_are_accepted(tmp_path, capsys):

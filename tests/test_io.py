@@ -17,6 +17,7 @@ from airbench import (
     CoverageError,
     Dataset,
     FieldCriterion,
+    FieldSet,
     FormatError,
     GenerationConfig,
     LeaderboardEntry,
@@ -285,6 +286,16 @@ class TestPredictionIO:
         path.write_text("\n".join(lines[:-3]) + "\n")
         with pytest.raises(ShapeError, match=sid):
             read_predictions(tmp_path / "pred", tiny_train)
+
+    def test_bytes_match_the_per_value_format(self, tmp_path):
+        # The block is formatted with one `%`; its bytes must equal the per-value "%.17g" join.
+        edge = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0, 0.0, -1.0, 2.0 ** 53]
+        u_x = np.array(edge)
+        cols = [u_x, -u_x, u_x[::-1], np.roll(u_x, 5)]
+        write_predictions([Prediction("edge", FieldSet(*cols))], tmp_path / "pred")
+        rows = ["u_x,u_y,p_s,nu_t"] + [",".join("%.17g" % v for v in row) for row in zip(*cols)]
+        assert (tmp_path / "pred" / "edge.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+        assert (tmp_path / "pred" / "edge.csv").read_bytes().count(b"\n") == len(edge) + 1
 
 
 def _nan_report():
