@@ -40,6 +40,8 @@ from airbench import (
 from airbench.io import decode, read_json, write_json
 from airbench.scoring import rejected_report
 
+from conftest import TINY_CONFIG
+
 # Digest of the canonical serialization of the default-counts train split at
 # reduced resolution. The generator's arithmetic does not depend on numpy's
 # SIMD dispatch, so this one value holds on every dispatch level;
@@ -71,12 +73,25 @@ def _dispatch_settings() -> list[str]:
     return [" ".join(levels[k:]) for k in cuts]
 
 
+# Prints the train split's digest, then the digest of the metrics.json that a
+# k-NN run writes on a bench generated from the second config.
 _DIGEST_SCRIPT = """
-import json, sys
+import contextlib, hashlib, json, sys
+from pathlib import Path
 from airbench import GenerationConfig, Split, dataset_digest, generate_split, write_dataset
+from airbench.cli import main
 cfg = GenerationConfig.from_dict(json.loads(sys.argv[1]))
-write_dataset(generate_split(cfg, Split.TRAIN), sys.argv[2])
-print(dataset_digest(sys.argv[2]))
+out = Path(sys.argv[3])
+write_dataset(generate_split(cfg, Split.TRAIN), out / "train")
+print(dataset_digest(out / "train"))
+(out / "bench.json").write_text(sys.argv[2])
+with contextlib.redirect_stdout(sys.stderr):
+    assert main(["generate", "--config", str(out / "bench.json"), "--out", str(out / "bench")]) == 0
+    assert main([
+        "run", "--predictor", "knn:3", "--bench", str(out / "bench"), "--out", str(out / "run"),
+        "--store", str(out / "lb.jsonl"), "--fixed-time", "1", "--no-timestamp",
+    ]) == 0
+print(hashlib.sha256((out / "run" / "metrics.json").read_bytes()).hexdigest())
 """
 
 
@@ -140,18 +155,23 @@ def test_pinned_digest_of_default_count_train_split(tmp_path):
 def test_pinned_digest_holds_across_simd_dispatch_levels(tmp_path):
     src = str(Path(airbench.__file__).resolve().parents[1])
     config = json.dumps(asdict(PINNED_TRAIN_DIGEST_CONFIG))
-    digests = {}
+    bench_config = json.dumps(asdict(TINY_CONFIG))
+    train_digests, metrics_digests = {}, {}
     for i, disabled in enumerate(_dispatch_settings()):
         env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
         env.pop("NPY_ENABLE_CPU_FEATURES", None)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        work = tmp_path / f"setting{i}"
+        work.mkdir()
         proc = subprocess.run(
-            [sys.executable, "-c", _DIGEST_SCRIPT, config, str(tmp_path / f"train{i}")],
+            [sys.executable, "-c", _DIGEST_SCRIPT, config, bench_config, str(work)],
             env=env, capture_output=True, text=True, timeout=600,
         )
         assert proc.returncode == 0, proc.stderr
-        digests[disabled or "(none disabled)"] = proc.stdout.strip()
-    assert set(digests.values()) == {PINNED_TRAIN_DIGEST}, digests
+        name = disabled or "(none disabled)"
+        train_digests[name], metrics_digests[name] = proc.stdout.split()
+    assert set(train_digests.values()) == {PINNED_TRAIN_DIGEST}, train_digests
+    assert len(set(metrics_digests.values())) == 1, metrics_digests
 
 
 def test_random_small_roundtrips(tmp_path, tiny_train):

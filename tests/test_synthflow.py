@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -26,7 +27,18 @@ from airbench import (
     sample_point_cloud,
     validate_sample,
 )
-from airbench.synthflow import nu_t_at, pressure_at, splitmix64, surface_nodes, velocity_at
+from airbench.synthflow import (
+    _VOL_FLOOR,
+    _VOL_RMAX,
+    _VOL_SCALE,
+    _contour_cache,
+    _min_distance_to_contour,
+    nu_t_at,
+    pressure_at,
+    splitmix64,
+    surface_nodes,
+    velocity_at,
+)
 
 from conftest import CAMBERED, SYMMETRIC, TINY_CONFIG
 
@@ -157,6 +169,106 @@ class TestNuT:
         z = zeta + p.a * p.a / zeta
         vals = nu_t_at(p, np.column_stack([z.real, z.imag]))
         assert np.all(vals >= 0.0)
+
+
+def _brute_force_distance(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The contour distance as every point against every segment: the reference."""
+    ax, ay = poly.real, poly.imag
+    abx, aby = np.roll(ax, -1) - ax, np.roll(ay, -1) - ay
+    ab2 = np.maximum(abx * abx + aby * aby, 1e-300)
+    out = np.empty(len(pts))
+    for lo in range(0, len(pts), 512):
+        q = pts[lo : lo + 512]
+        aqx = q[:, 0:1] - ax[None, :]
+        aqy = q[:, 1:2] - ay[None, :]
+        s = aqx * abx
+        s += aqy * aby
+        t = np.clip(s / ab2, 0.0, 1.0)
+        # |aq - t*ab|^2 = |aq|^2 - t*(2*(aq.ab) - t*|ab|^2)
+        s *= 2.0
+        s -= t * ab2
+        s *= t
+        aqx *= aqx
+        aqx += aqy * aqy
+        aqx -= s
+        d2 = np.maximum(aqx, 0.0, out=aqx)
+        out[lo : lo + 512] = np.sqrt(np.min(d2, axis=1))
+    return out
+
+
+def _volume_points(p: JoukowskiParams, offsets: np.ndarray, rng) -> np.ndarray:
+    """Points at the given radial offsets (in cylinder radii) around the preimage."""
+    zeta = p.center + p.radius * (1.0 + offsets) * np.exp(1j * rng.uniform(0, 2 * np.pi, len(offsets)))
+    z = zeta + p.a * p.a / zeta
+    return np.column_stack([z.real, z.imag])
+
+
+_CORNERS = [
+    (camber, thickness)
+    for camber in GenerationConfig().camber_range
+    for thickness in GenerationConfig().thickness_range
+]
+
+
+class TestDistanceToSurface:
+    @pytest.mark.parametrize("camber, thickness", _CORNERS)
+    def test_bits_match_brute_force(self, camber, thickness):
+        mu = complex(-thickness, camber)
+        p = JoukowskiParams(mu=mu, a=1.0 / chord_length(JoukowskiParams(mu=mu)))
+        poly, chord = _contour_cache(p.mu, p.a)
+        rng = np.random.default_rng(31)
+        vertices = np.column_stack([poly.real, poly.imag])
+        ab = np.roll(vertices, -1, axis=0) - vertices
+        mid = vertices + 0.5 * ab
+        normal = np.column_stack([ab[:, 1], -ab[:, 0]]) / np.hypot(ab[:, 0], ab[:, 1])[:, None]
+        off = 1e-12 * chord * normal[::4]
+        beside_te = vertices[0] + rng.normal(size=(256, 2)) * np.logspace(-14, -2, 256)[:, None] * chord
+        far = _volume_points(p, _VOL_RMAX * np.repeat([1.0, 2.0, 10.0, 1000.0], 128), rng)
+        for name, pts in {
+            "vertices": vertices,
+            "midpoints": mid,
+            "1e-12 chord off": np.vstack([mid[::4] + off, mid[::4] - off]),
+            "beside the trailing edge": beside_te,
+            "far field": far,
+        }.items():
+            got = _min_distance_to_contour(poly, pts)
+            want = _brute_force_distance(poly, pts)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+    def test_empty_input(self):
+        d = distance_to_surface(CAMBERED, np.empty((0, 2)))
+        assert d.shape == (0,)
+
+    def test_non_finite_rows_are_nan(self):
+        pts = np.array([[1.3, 0.9], [np.nan, 0.0], [np.inf, 0.0], [0.2, -np.inf]])
+        poly, _ = _contour_cache(CAMBERED.mu, CAMBERED.a)
+        with np.errstate(invalid="ignore"):
+            want = _brute_force_distance(poly, pts)
+        d = _min_distance_to_contour(poly, pts)
+        assert np.isnan(want[1:]).all() and np.isnan(d[1:]).all()
+        assert d[0] == want[0]
+        assert np.isnan(distance_to_surface(CAMBERED, pts)[1:]).all()
+
+    def test_single_point(self):
+        poly, _ = _contour_cache(CAMBERED.mu, CAMBERED.a)
+        d = distance_to_surface(CAMBERED, [1.3, 0.9])
+        assert d.shape == (1,)
+        assert d[0] == _brute_force_distance(poly, np.array([[1.3, 0.9]]))[0] > 0.0
+
+    def test_memory_stays_bounded(self):
+        # Points are placed like the generator's volume nodes. The brute-force
+        # pass peaks at about 118 MB on any input of more than 512 points.
+        rng = np.random.default_rng(32)
+        span = 1.0 - math.exp(-(_VOL_RMAX - _VOL_FLOOR) / _VOL_SCALE)
+        offsets = _VOL_FLOOR - _VOL_SCALE * np.log1p(-rng.random(100_000) * span)
+        pts = _volume_points(CAMBERED, offsets, rng)
+        tracemalloc.start()
+        try:
+            distance_to_surface(CAMBERED, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak
 
 
 class TestSamplePointCloud:
