@@ -13,13 +13,16 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ParameterError
 from .io import read_dataset, write_predictions
 from .model import Dataset, FieldSet, Prediction, Sample
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 _FEATURES = 5  # x, y, distance-to-surface, inlet ux, inlet uy
 
@@ -78,6 +81,7 @@ def knn_fit(train: Dataset, k: int) -> KnnModel:
     Features are normalized by their per-feature standard deviation over the
     training pool so positions and velocities contribute on equal footing.
     """
+    from scipy.spatial import cKDTree  # here, so only a k-NN fit loads SciPy
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if not train.samples:

@@ -23,11 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError, DomainError, ParameterError, SingularityError
 from .io import decode, json_digest, write_dataset, write_json
@@ -188,59 +186,95 @@ def chord_length(params: JoukowskiParams) -> float:
     return _contour_cache(params.mu, params.a)[1]
 
 
+_TOP_BLOCKS = 16  # blocks of the coarsest level; each finer level splits every block in 4
+
+
+def _chord_distance(aqx, aqy, wx, wy, w2):
+    """Distance from aq to the segment from 0 to w (|w|^2 = w2), within 20u(|aq| + |w|)."""
+    t = np.clip((aqx * wx + aqy * wy) / w2, 0.0, 1.0)
+    dx, dy = aqx - t * wx, aqy - t * wy
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def _block_levels(poly: np.ndarray, l_max: float) -> list[tuple[np.ndarray, ...]]:
+    """Blocks of consecutive segments, coarse to fine: len(poly)/16 segments, then /4 down to 4.
+
+    Block b of size B holds segments b*B to b*B + B - 1, and its chord runs
+    from vertex b*B to vertex (b+1)*B. A level holds, per block, the chord's
+    start (x, y), the chord (x, y, squared length) and h, the largest distance
+    from a vertex of the block to the chord: computed within 40u*B*L_max <=
+    1.2e-12*L_max, with u = 2^-53, and so rounded up by adding 1e-9*L_max.
+    """
+    levels = []
+    size = len(poly) // _TOP_BLOCKS
+    while size >= 4:
+        blocks = poly.reshape(-1, size)
+        cx, cy = blocks[:, 0].real.copy(), blocks[:, 0].imag.copy()
+        wx, wy = np.roll(cx, -1) - cx, np.roll(cy, -1) - cy
+        w2 = np.maximum(wx * wx + wy * wy, 1e-300)
+        rel = blocks - blocks[:, :1]
+        h = _chord_distance(rel.real, rel.imag, wx[:, None], wy[:, None], w2[:, None]).max(axis=1)
+        levels.append((cx, cy, wx, wy, w2, h + 1e-9 * l_max))
+        size //= 4
+    return levels
+
+
 def _min_distance_to_contour(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Minimum Euclidean distance from each point to the closed polygon.
 
-    Only segments that can hold the minimum are evaluated. A segment of length
-    L whose endpoints both lie at least rho from q is at least
-    sqrt(rho^2 - L^2/4) from q (the worst case is q on its perpendicular
-    bisector). With d_v the distance from q to its nearest vertex and L_max
-    the longest segment, a segment whose endpoints both lie beyond
-    r = sqrt(d_v^2 + L_max^2/4) + slack is therefore farther than d_v, while
-    the segment that starts at the nearest vertex is at most d_v away. The
-    candidates of q are segments j-1 and j of each vertex j within r, found
-    with a k-d tree over the vertices: about two vertices per point.
+    Only segments that can hold the minimum are evaluated, found by walking
+    the levels of `_block_levels`. A block's vertices lie within h of its
+    chord S, and so does every segment of it, since the points within h of S
+    make a convex set: none is nearer to q than dist(q, S) - h. The distance U
+    from q to the nearest vertex seen so far bounds the minimum from above. So
+    a block whose bound exceeds U + slack is dropped, each kept block's 4
+    children make the next level, and the segments of the kept blocks of 4 are
+    the candidates: about eight per point.
 
-    The slack covers rounding. With u = 2^-53 and D = d_v + L_max, the d^2
-    computed below for a segment starting at vertex a is within
-    14u(|q - a| + L)^2 of the exact squared distance, and the tree's distances
-    are within 3u relative. So the segment at the nearest vertex computes at
-    most d_v^2 + 14u*D^2, and a segment left out at least
-    d_v^2 + 2*(r - slack)*slack - 141u*D^2, where r - slack >= D/3. The
-    second is the larger once slack >= 233u*D = 2.6e-14*D; the slack used is
-    1e-10*D.
+    The slack covers rounding; L is the longest segment. `_chord_distance` is
+    within 20u(|q - A| + |S|), where S starts at A and |q - A| <= dist(q, S) +
+    |S|; |S| and h are at most 256L, and U is within 3u relative. So a segment
+    of a dropped block is exactly at least e >= d + slack - 25u(U + slack) -
+    1.8e-12*L >= d + slack/2 away, with d the exact distance to U's vertex. The
+    d^2 computed below for a segment starting at vertex a is within
+    14u(|q - a| + L)^2 of the exact value; so the segment starting at U's
+    vertex computes at most d^2 + 14u(d + L)^2, and the dropped one at least
+    e^2 - 14u(e + 2L)^2. The second is the larger once (slack/2)^2 + d*slack >
+    56u*d^2 + 225u*L^2 = 6.3e-15*d^2 + 2.5e-14*L^2. The slack used, 1e-10*U +
+    1e-5*L, gives 2.5e-11*L^2 + 1e-10*d^2, and adds few candidates.
 
     The candidates go through the same elementwise IEEE operations, in the
     same order, as a pass over all segments, and the minimum over a set that
     holds every segment that can be the minimum is the minimum over all of
-    them. So the result is bit for bit that of the full pass; the tree only
-    chooses candidates. Rows with a non-finite coordinate, which the tree
-    refuses, are NaN, as the full pass makes them. Points go in passes of 256,
-    each bringing at most 2 * len(poly) candidates, so no array holds more than
-    512 * len(poly) elements.
+    them. So the result is bit for bit that of the full pass. Rows with a
+    non-finite coordinate are NaN, as the full pass makes them. Points go in
+    passes of 256, so no array holds more than 256 * len(poly) elements.
     """
     ax, ay = poly.real, poly.imag
     abx, aby = np.roll(ax, -1) - ax, np.roll(ay, -1) - ay
     ab2 = np.maximum(abx * abx + aby * aby, 1e-300)
     l_max = math.sqrt(ab2.max())
-    tree = cKDTree(np.column_stack([ax, ay]), leafsize=64)  # wide leaves query faster here
+    levels = _block_levels(poly, l_max)
     out = np.full(len(pts), np.nan)
     finite = np.flatnonzero(np.isfinite(pts[:, 0]) & np.isfinite(pts[:, 1]))
     for lo in range(0, len(finite), 256):
         rows = finite[lo : lo + 256]
-        q = pts[rows, :2]
-        d_v = tree.query(q)[0]
-        radius = np.sqrt(d_v * d_v + 0.25 * l_max * l_max) + 1e-10 * (d_v + l_max)
-        found = tree.query_ball_point(q, radius, return_sorted=False)
-        # Each list holds at least the nearest vertex, so no group below is
-        # empty. Vertex j brings segments j and j-1; one found twice is
-        # evaluated twice.
-        count = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
-        vert = np.fromiter(chain.from_iterable(found), dtype=np.intp, count=count.sum())
-        seg = np.column_stack([vert, (vert - 1) % len(poly)]).ravel()
-        size = 2 * count
-        aqx = np.repeat(q[:, 0], size) - ax[seg]
-        aqy = np.repeat(q[:, 1], size) - ay[seg]
+        qx, qy = pts[rows, 0], pts[rows, 1]
+        near = np.full(len(rows), np.inf)
+        # (point, block) pairs, sorted by point; a block holding the minimum
+        # is never dropped, so every point keeps a pair at every level.
+        row = np.repeat(np.arange(len(rows)), _TOP_BLOCKS)
+        blk = np.tile(np.arange(_TOP_BLOCKS), len(rows))
+        for cx, cy, wx, wy, w2, h in levels:
+            aqx, aqy = qx[row] - cx[blk], qy[row] - cy[blk]
+            np.minimum.at(near, row, np.sqrt(aqx * aqx + aqy * aqy))
+            bound = _chord_distance(aqx, aqy, wx[blk], wy[blk], w2[blk]) - h[blk]
+            keep = bound <= (near + 1e-10 * near + 1e-5 * l_max)[row]
+            row = np.repeat(row[keep], 4)
+            blk = (4 * blk[keep, None] + np.arange(4)).ravel()
+        seg = blk  # the children of blocks of 4 are single segments
+        aqx = qx[row] - ax[seg]
+        aqy = qy[row] - ay[seg]
         sbx, sby, sb2 = abx[seg], aby[seg], ab2[seg]
         s = aqx * sbx
         s += aqy * sby
@@ -253,7 +287,7 @@ def _min_distance_to_contour(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
         aqx += aqy * aqy
         aqx -= s
         d2 = np.maximum(aqx, 0.0, out=aqx)
-        out[rows] = np.sqrt(np.minimum.reduceat(d2, np.cumsum(size) - size))
+        out[rows] = np.sqrt(np.minimum.reduceat(d2, np.flatnonzero(np.diff(row, prepend=-1))))
     return out
 
 

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
 import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
+import airbench
 from airbench import (
     ML_CRITERIA,
     LeaderboardEntry,
@@ -221,6 +225,43 @@ def test_oracle_run_bytes_are_pinned(toy_bench_dir, tmp_path, capsys):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_ORACLE_RUN}
     assert got == PINNED_ORACLE_RUN
     assert default_scoring_config().digest() == PINNED_SCORING_CONFIG_DIGEST
+
+
+# Prints whether SciPy was loaded after generate, oracle and constant runs,
+# leaderboard and report, and again after a k-NN run.
+_SCIPY_SCRIPT = """
+import contextlib, sys
+from pathlib import Path
+from airbench.cli import main
+out = Path(sys.argv[2])
+(out / "gen.json").write_text(sys.argv[1])
+def verb(*argv):
+    with contextlib.redirect_stdout(sys.stderr):
+        assert main(list(argv)) == 0, argv
+def run(predictor):
+    verb("run", "--predictor", predictor, "--bench", str(out / "bench"), "--out", str(out / predictor),
+         "--store", str(out / "lb.jsonl"))
+verb("generate", "--config", str(out / "gen.json"), "--out", str(out / "bench"))
+run("oracle")
+run("constant")
+verb("leaderboard", "--store", str(out / "lb.jsonl"))
+verb("report", str(out / "oracle" / "score_report.json"))
+print("scipy" in sys.modules)
+run("knn:3")
+print("scipy" in sys.modules)
+"""
+
+
+def test_only_a_knn_fit_loads_scipy(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(airbench.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_SCRIPT, json.dumps(asdict(TINY_CONFIG)), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def _write(path, text):

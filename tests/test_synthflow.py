@@ -31,6 +31,7 @@ from airbench.synthflow import (
     _VOL_FLOOR,
     _VOL_RMAX,
     _VOL_SCALE,
+    _block_levels,
     _contour_cache,
     _min_distance_to_contour,
     nu_t_at,
@@ -234,6 +235,39 @@ class TestDistanceToSurface:
             got = _min_distance_to_contour(poly, pts)
             want = _brute_force_distance(poly, pts)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+    @pytest.mark.parametrize("camber, thickness", _CORNERS)
+    def test_bits_match_brute_force_far_out_from_vertices(self, camber, thickness):
+        # Far out along the normal at a vertex in a block's middle, the nearest
+        # block's chord can lie farther than a vertex of another block; only
+        # its h keeps it.
+        mu = complex(-thickness, camber)
+        poly, chord = _contour_cache(mu, 1.0 / chord_length(JoukowskiParams(mu=mu)))
+        v = np.column_stack([poly.real, poly.imag])[2::4]
+        tangent = np.roll(poly, -1)[2::4] - np.roll(poly, 1)[2::4]
+        out = np.column_stack([tangent.imag, -tangent.real]) / np.abs(tangent)[:, None]
+        pts = np.vstack([v + 10.0 * chord * out, v + 100.0 * chord * out])
+        got = _min_distance_to_contour(poly, pts)
+        assert np.array_equal(got.view(np.int64), _brute_force_distance(poly, pts).view(np.int64))
+
+    @pytest.mark.parametrize("camber, thickness", _CORNERS)
+    def test_block_vertices_lie_within_h_of_the_chord(self, camber, thickness):
+        mu = complex(-thickness, camber)
+        poly, _ = _contour_cache(mu, 1.0 / chord_length(JoukowskiParams(mu=mu)))
+        l_max = float(np.abs(np.roll(poly, -1) - poly).max())
+        levels = _block_levels(poly, l_max)
+        assert [len(level[0]) for level in levels] == [16, 64, 256, 1024]
+        # Distances in extended precision, to every vertex of each block,
+        # the chord's end included.
+        v = np.column_stack([poly.real, poly.imag]).astype(np.longdouble)
+        for cx, cy, _, _, _, h in levels:
+            a = np.column_stack([cx, cy]).astype(np.longdouble)
+            w = np.roll(a, -1, axis=0) - a
+            aq = np.concatenate([v.reshape(len(a), -1, 2), a[:, None] + w[:, None]], axis=1) - a[:, None]
+            t = np.clip((aq * w[:, None]).sum(axis=2) / (w * w).sum(axis=1)[:, None], 0.0, 1.0)
+            dist = np.sqrt(((aq - t[:, :, None] * w[:, None]) ** 2).sum(axis=2)).max(axis=1)
+            assert (dist <= h).all()
+            assert (h - dist < 1e-8 * l_max).all()  # and rounded up by little
 
     def test_empty_input(self):
         d = distance_to_surface(CAMBERED, np.empty((0, 2)))
