@@ -4,22 +4,19 @@ These anchor the leaderboard: the oracle bounds scores from above, the
 constant predictor from below, and the nearest-neighbor surrogate sits in
 between and exercises the whole pipeline like a real model would. All three
 are registered as builtin predictor names (``oracle``, ``constant``,
-``knn:<k>``) and can also run as an external executable (``airbench-predict``)
+``knn:<k>``) and can also run as an external executable (``airbench predict``)
 to self-test the file protocol.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParameterError
-from .io import read_dataset, write_predictions
-from .model import Dataset, FieldSet, Prediction, Sample
+from .errors import AirbenchError
+from .model import Dataset, FieldSet, Sample
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -35,7 +32,7 @@ def oracle_predict(sample: Sample) -> FieldSet:
 def fit_channel_means(train: Dataset) -> dict[str, float]:
     """Per-channel means pooled over every node of the training split."""
     if not train.samples:
-        raise ParameterError("cannot fit on an empty training split")
+        raise AirbenchError("cannot fit on an empty training split")
     out = {}
     for ch in FieldSet.CHANNELS:
         pooled = np.concatenate([s.truth_fields.channel(ch) for s in train.samples])
@@ -83,9 +80,9 @@ def knn_fit(train: Dataset, k: int) -> KnnModel:
     """
     from scipy.spatial import cKDTree  # here, so only a k-NN fit loads SciPy
     if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+        raise AirbenchError(f"k must be >= 1, got {k}")
     if not train.samples:
-        raise ParameterError("cannot fit on an empty training split")
+        raise AirbenchError("cannot fit on an empty training split")
     feats = np.vstack([_node_features(s) for s in train.samples])
     outs = np.vstack(
         [
@@ -182,7 +179,7 @@ class ConstantPredictor:
 
     def predict(self, sample: Sample) -> FieldSet:
         if self._stats is None:
-            raise ParameterError("constant predictor used before fitting")
+            raise AirbenchError("constant predictor used before fitting")
         return constant_predict(self._stats, sample)
 
 
@@ -197,7 +194,7 @@ class KnnPredictor:
 
     def predict(self, sample: Sample) -> FieldSet:
         if self._model is None:
-            raise ParameterError("knn predictor used before fitting")
+            raise AirbenchError("knn predictor used before fitting")
         return knn_predict(self._model, sample)
 
 
@@ -211,39 +208,7 @@ def resolve_builtin(name: str):
         try:
             k = int(name.split(":", 1)[1])
         except ValueError:
-            raise ParameterError(f"bad knn predictor name {name!r}, expected knn:<k>") from None
+            raise AirbenchError(f"bad knn predictor name {name!r}, expected knn:<k>") from None
         return KnnPredictor(k)
-    raise ParameterError(f"unknown builtin predictor {name!r}")
+    raise AirbenchError(f"unknown builtin predictor {name!r}")
 
-
-def main(argv: list[str] | None = None) -> int:
-    """External-executable entry point: predict a dataset into a directory.
-
-    Usage: airbench-predict <name> <dataset_dir> <pred_dir> [--train DIR]
-    Implements the same file protocol external submissions use, which lets
-    the harness self-test its process plumbing against the builtins.
-    """
-    parser = argparse.ArgumentParser(prog="airbench-predict")
-    parser.add_argument("name", help="builtin predictor name (oracle, constant, knn:<k>)")
-    parser.add_argument("dataset_dir")
-    parser.add_argument("pred_dir")
-    parser.add_argument("--train", default=None, help="training split directory, if the predictor needs one")
-    args = parser.parse_args(argv)
-
-    try:
-        predictor = resolve_builtin(args.name)
-        if args.train is not None:
-            predictor.fit(read_dataset(args.train))
-        dataset = read_dataset(args.dataset_dir)
-        predictions = [
-            Prediction(sample_id=s.id, fields=predictor.predict(s)) for s in dataset.samples
-        ]
-        write_predictions(predictions, args.pred_dir)
-    except Exception as e:  # a predictor executable signals failure by exit code
-        print(f"airbench-predict: {e}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

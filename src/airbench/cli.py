@@ -4,8 +4,9 @@ Verbs: ``generate`` builds a benchmark directory from a generation config,
 ``evaluate`` runs a predictor and writes raw metrics, ``score`` turns metrics
 into a score report, ``run`` is ``evaluate`` + ``score`` + a leaderboard
 append, ``leaderboard`` lists recorded entries, ``report`` renders a stored
-score report. Exit codes: 0 success, 2 validation error, 3 predictor
-failure, 4 rejection.
+score report, ``predict`` runs a builtin predictor as an external one would
+run (the file protocol's self-test). Exit codes: 0 success, 2 validation
+error, 3 predictor failure, 4 rejection.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import shlex
 import sys
 from pathlib import Path
 
+from .baselines import resolve_builtin
 from .errors import AirbenchError, InferenceError, TrainingError
 from .harness import (
     STORE_ENV_VAR,
@@ -27,13 +29,12 @@ from .harness import (
     render_report,
     resolve_store_path,
     run_benchmark,
+    run_inference,
     score_metrics,
     write_metrics,
     write_score_report,
 )
-from .harness import run_inference  # unused here; perfbench/layers.py patches this name
-from .io import dataset_digest, read_json
-from .io import read_dataset  # unused here; perfbench/layers.py patches this name
+from .io import dataset_digest, read_dataset, read_json
 from .metrics import evaluate_split  # unused here; perfbench/layers.py patches this name
 from .scoring import ScoringConfig, default_scoring_config
 from .scoring import score_from_values  # unused here; perfbench/layers.py patches this name
@@ -52,8 +53,8 @@ def _predictor_spec(args) -> PredictorSpec:
         label=args.label or name,
         builtin=name if builtin else None,
         command=None if builtin else shlex.split(name),
-        working_dir=None if builtin else getattr(args, "workdir", None),
-        training_command=shlex.split(args.train_cmd) if getattr(args, "train_cmd", None) else None,
+        working_dir=None if builtin else args.workdir,
+        training_command=shlex.split(args.train_cmd) if args.train_cmd else None,
     )
 
 
@@ -109,6 +110,17 @@ def _cmd_run(args) -> int:
     )
     print(render_report(report, label=entry.label), end="")
     return EXIT_REJECTED if report.rejected else EXIT_OK
+
+
+def _cmd_predict(args) -> int:
+    predictor = resolve_builtin(args.name)
+    if args.train is not None:
+        predictor.fit(read_dataset(args.train))
+    run_inference(
+        PredictorSpec(label=args.name, builtin=args.name),
+        args.dataset_dir, read_dataset(args.dataset_dir), args.pred_dir, predictor=predictor,
+    )
+    return EXIT_OK
 
 
 def _cmd_leaderboard(args) -> int:
@@ -186,6 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("score_report", help="score_report.json path")
     p.add_argument("--label", default=None)
     p.set_defaults(func=_cmd_report)
+
+    p = sub.add_parser("predict", help="predict a dataset with a builtin, as an external predictor would")
+    p.add_argument("name", help="builtin predictor name (oracle, constant, knn:<k>)")
+    p.add_argument("dataset_dir", help="dataset directory to predict")
+    p.add_argument("pred_dir", help="directory for one prediction CSV per sample")
+    p.add_argument("--train", default=None, help="training split directory, if the predictor needs one")
+    p.set_defaults(func=_cmd_predict)
     return parser
 
 

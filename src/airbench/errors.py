@@ -1,44 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Only the classes a caller tells apart have a type of their own: the CLI
+maps `TrainingError` and `InferenceError` to exit code 3 and any other
+`AirbenchError` to 2, and the leaderboard reader skips a line that raises
+`FormatError`.
+"""
 
 
 class AirbenchError(Exception):
-    """Base class for all airbench errors."""
-
-
-class ValidationError(AirbenchError):
-    """A sample, dataset, or prediction violates a data invariant."""
+    """Base class for all airbench errors, and the error for invalid input of any kind."""
 
 
 class FormatError(AirbenchError):
     """An on-disk file is missing, malformed, or inconsistent with its manifest."""
-
-
-class ParameterError(AirbenchError):
-    """Physical or generation parameters are invalid or degenerate."""
-
-
-class DomainError(AirbenchError):
-    """An input lies outside the domain of an operation."""
-
-
-class SingularityError(AirbenchError):
-    """A field was requested too close to a singular point of the mapping."""
-
-
-class GeometryError(AirbenchError):
-    """A surface contour is open, degenerate, or self-intersecting."""
-
-
-class ShapeError(AirbenchError):
-    """Array arguments have incompatible lengths or shapes."""
-
-
-class CoverageError(AirbenchError):
-    """Predictions do not cover the dataset samples one-to-one."""
-
-
-class ConfigError(AirbenchError):
-    """A scoring or generation configuration is invalid."""
 
 
 class TrainingError(AirbenchError):

@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .baselines import resolve_builtin
-from .errors import ConfigError, FormatError, InferenceError, ParameterError, TrainingError
+from .errors import AirbenchError, FormatError, InferenceError, TrainingError
 from .io import (
     dataset_digest,
     decode,
@@ -72,11 +72,11 @@ class PredictorSpec:
 
     def __post_init__(self):
         if (self.builtin is None) == (self.command is None):
-            raise ConfigError("predictor spec needs exactly one of builtin or command")
+            raise AirbenchError("predictor spec needs exactly one of builtin or command")
         if self.command is not None and len(self.command) == 0:
-            raise ConfigError("external predictor command is empty")
+            raise AirbenchError("external predictor command is empty")
         if self.training_command is not None and len(self.training_command) == 0:
-            raise ConfigError("training command is empty")
+            raise AirbenchError("training command is empty")
 
 
 @dataclass
@@ -145,7 +145,7 @@ def run_training(
         return TrainingOutcome(status="trained", elapsed_s=elapsed)
 
     if predictor is None:
-        raise ParameterError("builtin training requires a predictor instance")
+        raise AirbenchError("builtin training requires a predictor instance")
     train_ds = read_dataset(train_dir)
     t0 = clock()
     predictor.fit(train_ds)
@@ -186,7 +186,7 @@ def run_inference(
             raise InferenceError(f"predictor exited with status {status}: {stderr}")
     else:
         if predictor is None:
-            raise ParameterError("builtin inference requires a predictor instance")
+            raise AirbenchError("builtin inference requires a predictor instance")
         t0 = clock()
         fields = [predictor.predict(s) for s in dataset.samples]
         elapsed = clock() - t0

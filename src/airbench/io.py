@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AirbenchError, CoverageError, FormatError, ShapeError, ValidationError
+from .errors import AirbenchError, FormatError
 from .model import (
     Dataset,
     FieldSet,
@@ -139,7 +139,7 @@ def _decode(tp, value, path: str):
     raise _Refused(path, f"expected {name}, got {reprlib.repr(value)}")
 
 
-def decode(tp, value, source: str | Path, error: type[AirbenchError] = FormatError):
+def decode(tp, value, source: str | Path):
     """Build a value of type `tp` from parsed JSON, checking it against the declared types.
 
     `tp` is a dataclass record or a type built from records, enums (by
@@ -148,21 +148,21 @@ def decode(tp, value, source: str | Path, error: type[AirbenchError] = FormatErr
     from JSON lists). A JSON integer is taken as a float; a bool is never a
     number. A record's key may be left out only where its field has a
     default, and a record that refuses its values on construction is refused
-    too. Anything else raises `error` naming `source` and the field path.
+    too. Anything else raises FormatError naming `source` and the field path.
     """
     try:
         return _decode(tp, value, "")
     except _Refused as e:
-        raise error(f"{source}: {e}") from None
+        raise FormatError(f"{source}: {e}") from None
 
 
 @contextlib.contextmanager
-def decoding(source: str | Path, error: type[AirbenchError] = FormatError):
-    """Raise a missing key or a wrong type met while decoding `source` as `error` naming it."""
+def decoding(source: str | Path):
+    """Raise a missing key or a wrong type met while decoding `source` as FormatError naming it."""
     try:
         yield
     except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise error(f"{source}: {type(e).__name__}: {e}") from None
+        raise FormatError(f"{source}: {type(e).__name__}: {e}") from None
 
 
 def json_digest(obj) -> str:
@@ -190,12 +190,12 @@ def _sample_csv_text(sample: Sample) -> str:
 def write_dataset(dataset: Dataset, directory: str | Path) -> None:
     """Write a dataset in the canonical directory format.
 
-    Validates every invariant first and raises ValidationError before
+    Validates every invariant first and raises AirbenchError before
     touching the filesystem if anything is off.
     """
     violations = validate_dataset(dataset)
     if violations:
-        raise ValidationError("; ".join(violations[:10]))
+        raise AirbenchError("; ".join(violations[:10]))
     directory = Path(directory)
     samples_dir = directory / "samples"
     samples_dir.mkdir(parents=True, exist_ok=True)
@@ -251,7 +251,7 @@ def _entry_paths(directory: Path, entry: dict) -> list[Path]:
 def read_dataset(directory: str | Path) -> Dataset:
     """Read a dataset directory; the result satisfies every type invariant.
 
-    Raises FormatError for missing or malformed files and ValidationError
+    Raises FormatError for missing or malformed files and AirbenchError
     (naming the sample id and field) for invariant violations.
     """
     directory = Path(directory)
@@ -293,7 +293,7 @@ def read_dataset(directory: str | Path) -> Dataset:
     dataset = Dataset(split=split, samples=samples, generation_config_digest=config_digest)
     violations = validate_dataset(dataset)
     if violations:
-        raise ValidationError("; ".join(violations[:10]))
+        raise AirbenchError("; ".join(violations[:10]))
     return dataset
 
 
@@ -310,14 +310,14 @@ def write_predictions(predictions: list[Prediction], pred_dir: str | Path) -> No
 def read_predictions(pred_dir: str | Path, dataset: Dataset) -> list[Prediction]:
     """Read predictions for every sample of `dataset`, enforcing coverage.
 
-    Missing files raise CoverageError naming the sample ids; a row-count or
-    column mismatch raises ShapeError naming the sample. Values are not
+    Missing files raise AirbenchError naming the sample ids; a row-count or
+    column mismatch raises AirbenchError naming the sample. Values are not
     required to be finite (bad predictions are scored, not rejected).
     """
     pred_dir = Path(pred_dir)
     missing = [s.id for s in dataset.samples if not (pred_dir / f"{s.id}.csv").exists()]
     if missing:
-        raise CoverageError(f"missing prediction files for sample ids: {missing}")
+        raise AirbenchError(f"missing prediction files for sample ids: {missing}")
 
     predictions = []
     for sample in dataset.samples:
@@ -326,9 +326,9 @@ def read_predictions(pred_dir: str | Path, dataset: Dataset) -> list[Prediction]
         if data.size == 0:
             data = data.reshape(0, 4)
         if data.shape[1] != 4:
-            raise ShapeError(f"sample {sample.id!r}: expected 4 prediction columns, got {data.shape[1]}")
+            raise AirbenchError(f"sample {sample.id!r}: expected 4 prediction columns, got {data.shape[1]}")
         if data.shape[0] != sample.n_nodes:
-            raise ShapeError(
+            raise AirbenchError(
                 f"sample {sample.id!r}: prediction has {data.shape[0]} rows, expected {sample.n_nodes}"
             )
         predictions.append(

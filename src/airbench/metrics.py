@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, ShapeError
+from .errors import AirbenchError
 from .model import Dataset, FieldSet, Prediction, Sample
 from .model import polygon_is_simple  # unused here; perfbench/layers.py patches this name
 
@@ -26,15 +26,15 @@ def field_error(pred: np.ndarray, truth: np.ndarray, kind: str = "mae") -> float
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
-        raise ShapeError(f"length mismatch: {pred.shape} vs {truth.shape}")
+        raise AirbenchError(f"length mismatch: {pred.shape} vs {truth.shape}")
     if pred.size < 1:
-        raise ShapeError("need at least one value")
+        raise AirbenchError("need at least one value")
     diff = pred - truth
     if kind == "mae":
         return float(np.mean(np.abs(diff)))
     if kind == "rmse":
         return float(np.sqrt(np.mean(diff * diff)))
-    raise ShapeError(f"unknown error kind {kind!r}")
+    raise AirbenchError(f"unknown error kind {kind!r}")
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -61,9 +61,9 @@ def spearman_with_flag(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
-        raise ShapeError(f"length mismatch: {x.shape} vs {y.shape}")
+        raise AirbenchError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.ndim != 1 or x.size < 2:
-        raise DomainError(f"need at least 2 paired values, got shape {x.shape}")
+        raise AirbenchError(f"need at least 2 paired values, got shape {x.shape}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         return float("nan"), False
     rx = _average_ranks(x)
@@ -95,7 +95,7 @@ def force_coefficients(sample: Sample, fields: FieldSet) -> tuple[float, float]:
     """
     order = sample.surface_order
     if len(order) < 8:
-        raise GeometryError(f"need at least 8 surface nodes, got {len(order)}")
+        raise AirbenchError(f"need at least 8 surface nodes, got {len(order)}")
     poly = sample.positions[order]
 
     p = fields.p_s
@@ -123,9 +123,9 @@ def mean_relative_error(pred_series: np.ndarray, true_series: np.ndarray) -> flo
     pred = np.asarray(pred_series, dtype=np.float64)
     true = np.asarray(true_series, dtype=np.float64)
     if pred.shape != true.shape:
-        raise ShapeError(f"length mismatch: {pred.shape} vs {true.shape}")
+        raise AirbenchError(f"length mismatch: {pred.shape} vs {true.shape}")
     if pred.size < 1:
-        raise ShapeError("need at least one pair")
+        raise AirbenchError("need at least one pair")
     return float(np.mean(np.abs(pred - true) / np.maximum(np.abs(true), REL_ERR_EPS)))
 
 
@@ -145,13 +145,13 @@ class FieldCriterion:
 
     def __post_init__(self):
         if self.channel not in FieldSet.CHANNELS:
-            raise ShapeError(f"criterion {self.name!r}: unknown channel {self.channel!r}")
+            raise AirbenchError(f"criterion {self.name!r}: unknown channel {self.channel!r}")
         if self.kind not in ("mae", "rmse"):
-            raise ShapeError(f"criterion {self.name!r}: unknown kind {self.kind!r}")
+            raise AirbenchError(f"criterion {self.name!r}: unknown kind {self.kind!r}")
         if self.subset not in ("all", "surface"):
-            raise ShapeError(f"criterion {self.name!r}: unknown subset {self.subset!r}")
+            raise AirbenchError(f"criterion {self.name!r}: unknown subset {self.subset!r}")
         if not (self.normalization > 0 and math.isfinite(self.normalization)):
-            raise ShapeError(f"criterion {self.name!r}: normalization must be positive")
+            raise AirbenchError(f"criterion {self.name!r}: normalization must be positive")
 
 
 DEFAULT_FIELD_CRITERIA = (

@@ -22,7 +22,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Mapping
 
-from .errors import ConfigError, DomainError
+from .errors import AirbenchError
 from .io import decode, json_digest, read_json
 from .metrics import FieldCriterion, SplitMetrics
 
@@ -58,7 +58,7 @@ class ThresholdSpec:
 
     def __post_init__(self):
         if not (math.isfinite(self.t1) and math.isfinite(self.t2) and self.t1 < self.t2):
-            raise ConfigError(f"thresholds must satisfy t1 < t2, got {self.t1}, {self.t2}")
+            raise AirbenchError(f"thresholds must satisfy t1 < t2, got {self.t1}, {self.t2}")
 
 
 def classify(value: float, spec: ThresholdSpec) -> Classification:
@@ -88,19 +88,19 @@ def classify(value: float, spec: ThresholdSpec) -> Classification:
 def accuracy_score(n_great: int, n_acceptable: int, n_unacceptable: int) -> float:
     """Points fraction (2*Ng + 1*No + 0*Nr) / (2*N)."""
     if min(n_great, n_acceptable, n_unacceptable) < 0:
-        raise DomainError("criterion counts must be non-negative")
+        raise AirbenchError("criterion counts must be non-negative")
     n = n_great + n_acceptable + n_unacceptable
     if n == 0:
-        raise ConfigError("empty criterion set")
+        raise AirbenchError("empty criterion set")
     return (2 * n_great + n_acceptable) / (2 * n)
 
 
 def compute_speedup(solver_time_s: float, inference_time_s: float) -> float:
     """Reference solver time over surrogate inference time."""
     if not (solver_time_s > 0 and math.isfinite(solver_time_s)):
-        raise DomainError(f"solver time must be positive, got {solver_time_s}")
+        raise AirbenchError(f"solver time must be positive, got {solver_time_s}")
     if not (inference_time_s > 0 and math.isfinite(inference_time_s)):
-        raise DomainError(f"inference time must be positive, got {inference_time_s}")
+        raise AirbenchError(f"inference time must be positive, got {inference_time_s}")
     return solver_time_s / inference_time_s
 
 
@@ -111,9 +111,9 @@ def speed_score(speedup: float, speedup_max: float) -> float:
     scores 0 rather than going negative.
     """
     if not (speedup > 0 and math.isfinite(speedup)):
-        raise DomainError(f"speedup must be positive, got {speedup}")
+        raise AirbenchError(f"speedup must be positive, got {speedup}")
     if not (speedup_max > 1 and math.isfinite(speedup_max)):
-        raise ConfigError(f"speedup_max must be > 1, got {speedup_max}")
+        raise AirbenchError(f"speedup_max must be > 1, got {speedup_max}")
     if speedup < 1.0:
         return 0.0
     return min(math.log10(speedup) / math.log10(speedup_max), 1.0)
@@ -122,7 +122,7 @@ def speed_score(speedup: float, speedup_max: float) -> float:
 def category_score(accuracy: float, speed: float, alpha_a: float, alpha_s: float) -> float:
     """Weighted blend alpha_a * accuracy + alpha_s * speed, exactly rounded."""
     if abs(alpha_a + alpha_s - 1.0) > 1e-12:
-        raise ConfigError(f"accuracy/speed weights must sum to 1, got {alpha_a} + {alpha_s}")
+        raise AirbenchError(f"accuracy/speed weights must sum to 1, got {alpha_a} + {alpha_s}")
     return float(Fraction(alpha_a) * Fraction(accuracy) + Fraction(alpha_s) * Fraction(speed))
 
 
@@ -147,7 +147,7 @@ class CategoryResult:
 
     def __post_init__(self):
         if (self.speed is None) != (self.speedup is None):
-            raise DomainError(f"category {self.name!r}: a speed score goes with a speed-up")
+            raise AirbenchError(f"category {self.name!r}: a speed score goes with a speed-up")
 
     def markers(self) -> str:
         return " ".join(c.classification.marker for c in self.criteria)
@@ -185,27 +185,27 @@ class ScoringConfig:
 
     def __post_init__(self):
         if abs(self.alpha_ml + self.alpha_ood + self.alpha_ph - 1.0) > 1e-12:
-            raise ConfigError("category weights must sum to 1")
+            raise AirbenchError("category weights must sum to 1")
         if abs(self.alpha_a + self.alpha_s - 1.0) > 1e-12:
-            raise ConfigError("accuracy/speed weights must sum to 1")
+            raise AirbenchError("accuracy/speed weights must sum to 1")
         if not self.speedup_max > 1:
-            raise ConfigError(f"speedup_max must be > 1, got {self.speedup_max}")
+            raise AirbenchError(f"speedup_max must be > 1, got {self.speedup_max}")
         if not self.training_budget_s > 0:
-            raise ConfigError("training_budget_s must be positive")
+            raise AirbenchError("training_budget_s must be positive")
         if set(self.thresholds) != set(CATEGORIES):
-            raise ConfigError(f"thresholds must hold exactly {sorted(CATEGORIES)}, got {sorted(self.thresholds)}")
+            raise AirbenchError(f"thresholds must hold exactly {sorted(CATEGORIES)}, got {sorted(self.thresholds)}")
         for label, names in CATEGORIES.items():
             if set(self.thresholds[label]) != set(names):
-                raise ConfigError(
+                raise AirbenchError(
                     f"{label} thresholds must cover exactly {sorted(names)}, got {sorted(self.thresholds[label])}"
                 )
         crit_names = [c.name for c in self.field_criteria]
         if sorted(crit_names) != sorted(ML_CRITERIA):
-            raise ConfigError(f"field criteria must be exactly {sorted(ML_CRITERIA)}")
+            raise AirbenchError(f"field criteria must be exactly {sorted(ML_CRITERIA)}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoringConfig":
-        return decode(cls, data, "scoring config", ConfigError)
+        return decode(cls, data, "scoring config")
 
     def digest(self) -> str:
         return json_digest(asdict(self))
@@ -233,7 +233,7 @@ def build_category(
     criteria = []
     for criterion in CATEGORIES[name]:
         if criterion not in values:
-            raise ConfigError(f"missing criterion value {criterion!r}")
+            raise AirbenchError(f"missing criterion value {criterion!r}")
         v = float(values[criterion])
         criteria.append(CriterionResult(
             name=criterion, value=v, classification=classify(v, thresholds[criterion]),
@@ -253,7 +253,7 @@ def combine_global(score_ml: float, score_ood: float, score_physics: float, conf
     """Weighted sum of the three category scores, exactly rounded."""
     for s in (score_ml, score_ood, score_physics):
         if not (0.0 <= s <= 1.0):
-            raise DomainError(f"category scores must lie in [0, 1], got {s}")
+            raise AirbenchError(f"category scores must lie in [0, 1], got {s}")
     return float(
         Fraction(config.alpha_ml) * Fraction(score_ml)
         + Fraction(config.alpha_ood) * Fraction(score_ood)

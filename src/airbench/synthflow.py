@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ParameterError, SingularityError
+from .errors import AirbenchError
 from .io import decode, json_digest, write_dataset, write_json
 from .model import Dataset, FieldSet, Sample, SampleMeta, Split
 
@@ -62,19 +62,19 @@ class JoukowskiParams:
         c = self.mu * self.a
         r = abs(self.a - c)
         if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise ParameterError(f"map parameter a must be positive, got {self.a}")
+            raise AirbenchError(f"map parameter a must be positive, got {self.a}")
         if r <= 0.0:
-            raise ParameterError("degenerate geometry: cylinder radius is zero")
+            raise AirbenchError("degenerate geometry: cylinder radius is zero")
         if self.mu.real > 0.0:
-            raise ParameterError(f"Re(mu) must be <= 0, got {self.mu.real}")
+            raise AirbenchError(f"Re(mu) must be <= 0, got {self.mu.real}")
         if abs(c.imag) > r:
-            raise ParameterError("camber offset exceeds cylinder radius")
+            raise AirbenchError("camber offset exceeds cylinder radius")
         if not (self.u_inf > 0.0 and math.isfinite(self.u_inf)):
-            raise ParameterError(f"u_inf must be positive, got {self.u_inf}")
+            raise AirbenchError(f"u_inf must be positive, got {self.u_inf}")
         if not abs(self.alpha_rad) < math.pi / 2:
-            raise ParameterError(f"|alpha| must be < pi/2, got {self.alpha_rad}")
+            raise AirbenchError(f"|alpha| must be < pi/2, got {self.alpha_rad}")
         if not (self.rho > 0.0 and math.isfinite(self.rho)):
-            raise ParameterError(f"rho must be positive, got {self.rho}")
+            raise AirbenchError(f"rho must be positive, got {self.rho}")
 
     @property
     def center(self) -> complex:
@@ -163,7 +163,7 @@ def _preimage(params: JoukowskiParams, z: np.ndarray) -> np.ndarray:
     inside = _cabs(outer - c) < params.radius * (1.0 - INSIDE_TOL)
     if np.any(inside):
         bad = z[np.flatnonzero(inside)[0]]
-        raise DomainError(f"point ({bad.real}, {bad.imag}) lies inside the airfoil")
+        raise AirbenchError(f"point ({bad.real}, {bad.imag}) lies inside the airfoil")
     return outer
 
 
@@ -313,59 +313,27 @@ def _velocity_complex(params: JoukowskiParams, pts: np.ndarray) -> np.ndarray:
     small = _cabs(dzdzeta) < SINGULARITY_TOL
     if np.any(small):
         bad = z[np.flatnonzero(small)[0]]
-        raise SingularityError(
+        raise AirbenchError(
             f"point ({bad.real}, {bad.imag}) is too close to a mapped singularity"
         )
     return np.conj(_w_prime(params, zeta, gamma) / dzdzeta)
 
 
-def _pressure(params: JoukowskiParams, w: np.ndarray) -> np.ndarray:
-    return 0.5 * (params.u_inf**2 - _abs2(w))
+def truth_at(params: JoukowskiParams, points: np.ndarray, distances: np.ndarray) -> FieldSet:
+    """The four truth channels at (M, 2) points outside the airfoil, `distances` from its surface.
 
-
-def _nu_t(params: JoukowskiParams, w: np.ndarray, d: np.ndarray) -> np.ndarray:
-    decay = _libm(math.exp, -d / (NU_T_DECAY * chord_length(params)))
-    return NU_T_KAPPA * d * _cabs(w) * decay
-
-
-def _as_points(point) -> tuple[np.ndarray, bool]:
-    pts = np.asarray(point, dtype=np.float64)
-    if pts.ndim == 1:
-        return pts[None, :], True
-    return pts, False
-
-
-def velocity_at(params: JoukowskiParams, point) -> np.ndarray:
-    """Velocity (m/s) at a point (or (M, 2) array of points) outside the airfoil.
-
-    Raises DomainError for points inside the body and SingularityError at the
-    exact trailing edge, where the conformal map degenerates.
+    Velocity (m/s), static pressure over density (m^2/s^2, Bernoulli with
+    far-field zero) and the turbulent-viscosity surrogate. Raises
+    AirbenchError for a point inside the body or at the exact trailing edge,
+    where the conformal map degenerates.
     """
-    pts, single = _as_points(point)
-    w = _velocity_complex(params, pts)
-    uv = np.column_stack([w.real, w.imag])
-    return uv[0] if single else uv
-
-
-def pressure_at(params: JoukowskiParams, point) -> np.ndarray | float:
-    """Static pressure over density (m^2/s^2), Bernoulli with far-field zero."""
-    pts, single = _as_points(point)
-    p = _pressure(params, _velocity_complex(params, pts))
-    return float(p[0]) if single else p
-
-
-def nu_t_at(params: JoukowskiParams, point) -> np.ndarray | float:
-    """Turbulent-viscosity surrogate, zero on the surface, decaying far away."""
-    pts, single = _as_points(point)
-    nu = _nu_t(params, _velocity_complex(params, pts), distance_to_surface(params, pts))
-    return float(nu[0]) if single else nu
-
-
-def _evaluate_truth(params: JoukowskiParams, pts: np.ndarray, distances: np.ndarray) -> FieldSet:
-    """All four channels at once (same formulas as the per-field operations)."""
-    w = _velocity_complex(params, pts)
+    w = _velocity_complex(params, points)
+    decay = _libm(math.exp, -distances / (NU_T_DECAY * chord_length(params)))
     return FieldSet(
-        u_x=w.real, u_y=w.imag, p_s=_pressure(params, w), nu_t=_nu_t(params, w, distances)
+        u_x=w.real,
+        u_y=w.imag,
+        p_s=0.5 * (params.u_inf**2 - _abs2(w)),
+        nu_t=NU_T_KAPPA * distances * _cabs(w) * decay,
     )
 
 
@@ -408,7 +376,7 @@ def sample_point_cloud(
     cannot raise domain or singularity errors.
     """
     if n_nodes < 64:
-        raise ParameterError(f"need at least 64 nodes, got {n_nodes}")
+        raise AirbenchError(f"need at least 64 nodes, got {n_nodes}")
     n_surf = -(-n_nodes // 4)
     n_vol = n_nodes - n_surf
 
@@ -432,7 +400,7 @@ def sample_point_cloud(
     distance = np.zeros(n_nodes)
     distance[n_surf:] = distance_to_surface(params, pos_vol)
 
-    fields = _evaluate_truth(params, positions, distances=distance)
+    fields = truth_at(params, positions, distance)
     u_inf = params.u_inf
     inlet = np.array([u_inf * math.cos(params.alpha_rad), u_inf * math.sin(params.alpha_rad)])
     return Sample(
@@ -501,12 +469,12 @@ class GenerationConfig:
     def __post_init__(self):
         for name in ("n_train", "n_test", "n_ood", "nodes_per_sample", "seed"):
             if not isinstance(getattr(self, name), int):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+                raise AirbenchError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("n_train", "n_test", "n_ood"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+                raise AirbenchError(f"{name} must be >= 1")
         if self.nodes_per_sample < 64:
-            raise ConfigError("nodes_per_sample must be >= 64")
+            raise AirbenchError("nodes_per_sample must be >= 64")
         for name in (
             "u_inf_range",
             "u_inf_range_ood",
@@ -516,28 +484,28 @@ class GenerationConfig:
         ):
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise ConfigError(f"{name} must be an ordered finite range, got {(lo, hi)}")
+                raise AirbenchError(f"{name} must be an ordered finite range, got {(lo, hi)}")
         lo, hi = self.u_inf_range
         olo, ohi = self.u_inf_range_ood
         if olo <= hi and lo <= ohi:
-            raise ConfigError(
+            raise AirbenchError(
                 f"OOD inflow range {self.u_inf_range_ood} overlaps the training range {self.u_inf_range}"
             )
         if self.u_inf_range[0] <= 0 or self.u_inf_range_ood[0] <= 0:
-            raise ConfigError("inflow speeds must be positive")
+            raise AirbenchError("inflow speeds must be positive")
         if self.thickness_range[0] <= 0:
-            raise ConfigError("thickness must be positive")
+            raise AirbenchError("thickness must be positive")
         if self.camber_range[0] < 0:
-            raise ConfigError("camber must be non-negative")
+            raise AirbenchError("camber must be non-negative")
         if max(abs(self.alpha_range_rad[0]), abs(self.alpha_range_rad[1])) >= math.pi / 2:
-            raise ConfigError("angle of attack must satisfy |alpha| < pi/2")
+            raise AirbenchError("angle of attack must satisfy |alpha| < pi/2")
         if not (self.rho > 0 and self.solver_time_s > 0):
-            raise ConfigError("rho and solver_time_s must be positive")
+            raise AirbenchError("rho and solver_time_s must be positive")
 
     @classmethod
     def from_dict(cls, data: dict) -> "GenerationConfig":
         """Decode a config's JSON object; keys left out keep their defaults."""
-        return decode(cls, data, "generation config", ConfigError)
+        return decode(cls, data, "generation config")
 
     def digest(self) -> str:
         return json_digest(asdict(self))

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from airbench import (
+from airbench.model import Split
+from airbench.synthflow import (
     GenerationConfig,
     JoukowskiParams,
-    Split,
     generate_benchmark,
     generate_split,
 )

@@ -13,22 +13,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from airbench import (
-    JoukowskiParams,
-    PredictorSpec,
-    chord_length,
-    circulation_kutta,
-    combine_global,
-    default_scoring_config,
-    force_coefficients,
-    leaderboard_list,
-    run_benchmark,
-    sample_point_cloud,
-    score_from_values,
-    spearman_with_flag,
-)
 from airbench.cli import main as cli_main
-from airbench.scoring import classify
+from airbench.harness import PredictorSpec, leaderboard_list, run_benchmark
+from airbench.metrics import force_coefficients, spearman_with_flag
+from airbench.scoring import classify, combine_global, default_scoring_config, score_from_values
+from airbench.synthflow import JoukowskiParams, chord_length, circulation_kutta, sample_point_cloud
 
 from conftest import TOY_CONFIG
 

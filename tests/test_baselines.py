@@ -6,23 +6,20 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from airbench import (
-    Dataset,
-    JoukowskiParams,
-    ParameterError,
-    Prediction,
-    Split,
+from airbench.baselines import (
+    _nearest,
+    _node_features,
     constant_predict,
-    evaluate_split,
     fit_channel_means,
     knn_fit,
     knn_predict,
     oracle_predict,
     resolve_builtin,
-    sample_point_cloud,
 )
-from airbench.baselines import _nearest, _node_features
-from airbench.metrics import field_error, force_coefficients
+from airbench.errors import AirbenchError
+from airbench.metrics import evaluate_split, field_error, force_coefficients
+from airbench.model import Dataset, Prediction, Split
+from airbench.synthflow import JoukowskiParams, sample_point_cloud
 
 
 def _varied_dataset(split: Split, n: int, nodes: int = 96, seed: int = 100) -> Dataset:
@@ -97,7 +94,7 @@ class TestConstant:
         assert m.spearman_l == 0.0 and m.spearman_l_degenerate
 
     def test_empty_split_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(AirbenchError, match="cannot fit on an empty training split"):
             fit_channel_means(Dataset(split=Split.TRAIN, samples=[]))
 
 
@@ -127,11 +124,11 @@ class TestKnn:
         assert model.k == sum(s.n_nodes for s in train_ds.samples)
 
     def test_bad_k(self, train_ds):
-        with pytest.raises(ParameterError):
+        with pytest.raises(AirbenchError, match="k must be >= 1"):
             knn_fit(train_ds, k=0)
 
     def test_empty_split_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(AirbenchError, match="cannot fit on an empty training split"):
             knn_fit(Dataset(split=Split.TRAIN, samples=[]), k=1)
 
     @pytest.mark.parametrize("k", [1, 5, 70])
@@ -169,7 +166,7 @@ class TestResolveBuiltin:
         assert resolve_builtin("knn:7").k == 7
 
     def test_unknown(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(AirbenchError, match="unknown builtin predictor"):
             resolve_builtin("transformer")
-        with pytest.raises(ParameterError):
+        with pytest.raises(AirbenchError, match="bad knn predictor name"):
             resolve_builtin("knn:many")

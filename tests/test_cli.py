@@ -14,19 +14,18 @@ from pathlib import Path
 import pytest
 
 import airbench
-from airbench import (
-    ML_CRITERIA,
+from airbench.cli import main
+from airbench.harness import (
     LeaderboardEntry,
     PredictorSpec,
-    SplitMetrics,
-    default_scoring_config,
-    generate_benchmark,
     leaderboard_list,
     run_benchmark,
+    score_metrics,
 )
-from airbench.cli import main
-from airbench.harness import score_metrics
 from airbench.io import write_json
+from airbench.metrics import SplitMetrics
+from airbench.scoring import ML_CRITERIA, default_scoring_config
+from airbench.synthflow import generate_benchmark
 
 from conftest import TINY_CONFIG
 
@@ -252,16 +251,46 @@ print("scipy" in sys.modules)
 """
 
 
-def test_only_a_knn_fit_loads_scipy(tmp_path):
+def _python(*argv) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with this checkout's src/ first on its path."""
     env = dict(os.environ)
     src = str(Path(airbench.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_SCRIPT, json.dumps(asdict(TINY_CONFIG)), str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=600,
-    )
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=600)
+
+
+def test_only_a_knn_fit_loads_scipy(tmp_path):
+    proc = _python("-c", _SCIPY_SCRIPT, json.dumps(asdict(TINY_CONFIG)), str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+class TestPredict:
+    """`airbench predict` runs a builtin through the external file protocol."""
+
+    @pytest.mark.parametrize("name, train", [("oracle", False), ("knn:3", True)])
+    def test_writes_the_builtin_run_bytes(self, bench, tmp_path, capsys, name, train):
+        extra = ["--train", str(bench / "train")] if train else []
+        proc = _python("-m", "airbench.cli", "predict", name, str(bench / "test"), str(tmp_path / "pred"), *extra)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert main([
+            "run", "--predictor", name, "--bench", str(bench), "--out", str(tmp_path / "run"),
+            "--store", str(tmp_path / "lb.jsonl"), "--fixed-time", "1", "--no-timestamp",
+        ]) == 0
+        external = sorted((tmp_path / "pred").iterdir())
+        builtin = sorted((tmp_path / "run" / "pred" / "test").iterdir())
+        assert len(external) == TINY_CONFIG.n_test
+        assert [p.name for p in external] == [p.name for p in builtin]
+        assert [p.read_bytes() for p in external] == [p.read_bytes() for p in builtin]
+
+    @pytest.mark.parametrize("name, split, message", [
+        ("knn:x", "test", "bad knn predictor name"),
+        ("oracle", "missing", "missing file"),
+    ])
+    def test_failure_is_validation_error(self, bench, tmp_path, name, split, message):
+        proc = _python("-m", "airbench.cli", "predict", name, str(bench / split), str(tmp_path / "pred"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("airbench: ") and message in proc.stderr
 
 
 def _write(path, text):

@@ -10,22 +10,21 @@ from dataclasses import asdict
 import pytest
 
 import airbench.harness as harness
-from airbench import (
-    CoverageError,
+from airbench.baselines import resolve_builtin
+from airbench.errors import AirbenchError, TrainingError
+from airbench.harness import (
     LeaderboardEntry,
     PredictorSpec,
-    TrainingError,
     append_leaderboard_entry,
-    default_scoring_config,
-    generate_benchmark,
     leaderboard_list,
-    read_dataset,
     render_report,
-    resolve_builtin,
+    run_benchmark,
     run_inference,
     run_training,
-    score_from_values,
 )
+from airbench.io import read_dataset
+from airbench.scoring import default_scoring_config, score_from_values
+from airbench.synthflow import generate_benchmark
 
 from conftest import TINY_CONFIG
 
@@ -119,13 +118,14 @@ class TestRunInference:
         # external predictor that drops one file
         code = (
             "import sys, pathlib, shutil\n"
-            "from airbench import read_dataset, write_predictions, Prediction\n"
+            "from airbench.io import read_dataset, write_predictions\n"
+            "from airbench.model import Prediction\n"
             "ds = read_dataset(sys.argv[1])\n"
             "preds = [Prediction(sample_id=s.id, fields=s.truth_fields) for s in ds.samples[1:]]\n"
             "write_predictions(preds, sys.argv[2])\n"
         )
         spec = PredictorSpec(label="dropper", command=[sys.executable, "-c", code])
-        with pytest.raises(CoverageError):
+        with pytest.raises(AirbenchError, match="missing prediction files"):
             run_inference(
                 spec, small_bench / "test", read_dataset(small_bench / "test"), tmp_path / "pred"
             )
@@ -177,7 +177,7 @@ class TestRunInference:
         # touches `late` 2 s in; the timer stops at the exit and the child dies.
         late = tmp_path / "late"
         spec = PredictorSpec(label="forker", command=[
-            "sh", "-c", '"$0" -m airbench.baselines oracle "$2" "$3"; (sleep 2; touch "$1") &',
+            "sh", "-c", '"$0" -m airbench.cli predict oracle "$2" "$3"; (sleep 2; touch "$1") &',
             sys.executable, str(late),
         ])
         elapsed, preds = run_inference(
@@ -191,14 +191,12 @@ class TestRunInference:
 
 class TestExternalProtocolSelfTest:
     def test_builtin_runs_as_external_executable(self, small_bench, tmp_path):
-        # The shipped predictor executable follows the same file protocol an
-        # external submission would, so it exercises the process plumbing.
-        from airbench import default_scoring_config, run_benchmark
-
+        # `airbench predict` follows the same file protocol an external
+        # submission would, so it exercises the process plumbing.
         spec = PredictorSpec(
             label="knn-external",
             command=[
-                sys.executable, "-m", "airbench.baselines", "knn:3",
+                sys.executable, "-m", "airbench.cli", "predict", "knn:3",
                 "--train", str(small_bench / "train"),
             ],
         )
@@ -211,13 +209,11 @@ class TestExternalProtocolSelfTest:
         assert 0.0 < report.global_score < 1.0
 
     def test_external_matches_builtin_scores(self, small_bench, tmp_path):
-        from airbench import default_scoring_config, run_benchmark
-
         cfg = default_scoring_config()
         ext_spec = PredictorSpec(
             label="ext",
             command=[
-                sys.executable, "-m", "airbench.baselines", "constant",
+                sys.executable, "-m", "airbench.cli", "predict", "constant",
                 "--train", str(small_bench / "train"),
             ],
         )

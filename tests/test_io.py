@@ -13,32 +13,27 @@ import numpy as np
 import pytest
 
 import airbench
-from airbench import (
-    CoverageError,
-    Dataset,
-    FieldCriterion,
-    FieldSet,
-    FormatError,
-    GenerationConfig,
-    LeaderboardEntry,
-    Prediction,
-    SampleMeta,
-    ScoreReport,
-    ShapeError,
-    Split,
-    SplitMetrics,
-    ValidationError,
+from airbench.errors import AirbenchError, FormatError
+from airbench.harness import LeaderboardEntry
+from airbench.io import (
     dataset_digest,
-    default_scoring_config,
-    generate_split,
+    decode,
     read_dataset,
+    read_json,
     read_predictions,
-    score_from_values,
     write_dataset,
+    write_json,
     write_predictions,
 )
-from airbench.io import decode, read_json, write_json
-from airbench.scoring import rejected_report
+from airbench.metrics import FieldCriterion, SplitMetrics
+from airbench.model import Dataset, FieldSet, Prediction, SampleMeta, Split
+from airbench.scoring import (
+    ScoreReport,
+    default_scoring_config,
+    rejected_report,
+    score_from_values,
+)
+from airbench.synthflow import GenerationConfig, generate_split
 
 from conftest import TINY_CONFIG
 
@@ -78,8 +73,10 @@ def _dispatch_settings() -> list[str]:
 _DIGEST_SCRIPT = """
 import contextlib, hashlib, json, sys
 from pathlib import Path
-from airbench import GenerationConfig, Split, dataset_digest, generate_split, write_dataset
 from airbench.cli import main
+from airbench.io import dataset_digest, write_dataset
+from airbench.model import Split
+from airbench.synthflow import GenerationConfig, generate_split
 cfg = GenerationConfig.from_dict(json.loads(sys.argv[1]))
 out = Path(sys.argv[3])
 write_dataset(generate_split(cfg, Split.TRAIN), out / "train")
@@ -97,7 +94,7 @@ print(hashlib.sha256((out / "run" / "metrics.json").read_bytes()).hexdigest())
 
 def test_empty_dataset_is_refused(tmp_path, tiny_train):
     ds = Dataset(split=Split.TEST, samples=[], generation_config_digest="x")
-    with pytest.raises(ValidationError, match="no samples"):
+    with pytest.raises(AirbenchError, match="no samples"):
         write_dataset(ds, tmp_path / "d")
     assert not (tmp_path / "d").exists()
     write_dataset(tiny_train, tmp_path / "d")
@@ -105,7 +102,7 @@ def test_empty_dataset_is_refused(tmp_path, tiny_train):
     doc = json.loads(man.read_text())
     doc["samples"] = []
     man.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError, match="no samples"):
+    with pytest.raises(AirbenchError, match="no samples"):
         read_dataset(tmp_path / "d")
 
 
@@ -195,7 +192,7 @@ def test_nan_injection_names_field(tmp_path, tiny_train):
     parts[6] = "nan"  # u_x column
     lines[1] = ",".join(parts)
     csv.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValidationError, match="u_x"):
+    with pytest.raises(AirbenchError, match="u_x"):
         read_dataset(tmp_path / "d")
 
 
@@ -234,7 +231,7 @@ def test_crossed_contour_rejected_on_read(tmp_path, tiny_train):
     order = doc["surface_order"]
     order[1], order[17] = order[17], order[1]
     meta.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError, match="surface_order"):
+    with pytest.raises(AirbenchError, match="surface_order"):
         read_dataset(tmp_path / "d")
 
 
@@ -286,7 +283,7 @@ class TestPredictionIO:
     def test_missing_file_names_id(self, tmp_path, tiny_train):
         preds = [Prediction(sample_id=s.id, fields=s.truth_fields) for s in tiny_train.samples[1:]]
         write_predictions(preds, tmp_path / "pred")
-        with pytest.raises(CoverageError, match=tiny_train.samples[0].id):
+        with pytest.raises(AirbenchError, match=f"missing prediction files .*{tiny_train.samples[0].id}"):
             read_predictions(tmp_path / "pred", tiny_train)
 
     def test_renamed_file_is_a_coverage_error(self, tmp_path, tiny_train):
@@ -294,7 +291,7 @@ class TestPredictionIO:
         write_predictions(preds, tmp_path / "pred")
         sid = tiny_train.samples[0].id
         (tmp_path / "pred" / f"{sid}.csv").rename(tmp_path / "pred" / "stranger.csv")
-        with pytest.raises(CoverageError, match=sid):
+        with pytest.raises(AirbenchError, match=f"missing prediction files .*{sid}"):
             read_predictions(tmp_path / "pred", tiny_train)
 
     def test_wrong_row_count_is_a_shape_error(self, tmp_path, tiny_train):
@@ -304,7 +301,7 @@ class TestPredictionIO:
         path = tmp_path / "pred" / f"{sid}.csv"
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-3]) + "\n")
-        with pytest.raises(ShapeError, match=sid):
+        with pytest.raises(AirbenchError, match=f"sample '{sid}': prediction has .* rows"):
             read_predictions(tmp_path / "pred", tiny_train)
 
     def test_bytes_match_the_per_value_format(self, tmp_path):

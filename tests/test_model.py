@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from airbench import (
+from airbench import model
+from airbench.model import (
     Dataset,
     FieldSet,
     Prediction,
@@ -16,10 +17,9 @@ from airbench import (
     SampleMeta,
     Split,
     polygon_is_simple,
-    sample_point_cloud,
     validate_sample,
 )
-from airbench import model
+from airbench.synthflow import sample_point_cloud
 
 from conftest import CAMBERED
 

@@ -9,14 +9,15 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from airbench import (
-    Classification,
-    ConfigError,
-    Direction,
-    DomainError,
+from airbench.errors import AirbenchError
+from airbench.harness import read_score_report, write_score_report
+from airbench.io import decode, read_json, write_json
+from airbench.scoring import (
     ML_CRITERIA,
     OOD_CRITERIA,
     PHYSICS_CRITERIA,
+    Classification,
+    Direction,
     ScoreReport,
     ScoringConfig,
     ThresholdSpec,
@@ -26,12 +27,10 @@ from airbench import (
     combine_global,
     compute_speedup,
     default_scoring_config,
+    rejected_report,
     score_from_values,
     speed_score,
 )
-from airbench.harness import read_score_report, write_score_report
-from airbench.io import decode, read_json, write_json
-from airbench.scoring import rejected_report
 
 G, A, U = Classification.GREAT, Classification.ACCEPTABLE, Classification.UNACCEPTABLE
 
@@ -103,7 +102,7 @@ class TestClassify:
             assert runs == ([2, 1, 0] if direction is Direction.MIN else [0, 1, 2])
 
     def test_invalid_thresholds(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(AirbenchError, match="t1 < t2"):
             ThresholdSpec(t1=0.5, t2=0.5, direction=Direction.MIN)
 
 
@@ -118,7 +117,7 @@ class TestAccuracyScore:
         assert accuracy_score(0, 0, 4) == 0.0
 
     def test_empty_set(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(AirbenchError, match="empty criterion set"):
             accuracy_score(0, 0, 0)
 
     def test_points_are_integral(self):
@@ -149,9 +148,9 @@ class TestSpeedScore:
         assert speed_score(0.5, 10000.0) == 0.0
 
     def test_invalid_speedup(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(AirbenchError, match="speedup must be positive"):
             speed_score(0.0, 10000.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(AirbenchError, match="speedup must be positive"):
             speed_score(-3.0, 10000.0)
 
 
@@ -166,9 +165,9 @@ class TestComputeSpeedup:
         assert compute_speedup(1500.0, 0.15) == 10000.0
 
     def test_invalid(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(AirbenchError, match="solver time must be positive"):
             compute_speedup(0.0, 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(AirbenchError, match="inference time must be positive"):
             compute_speedup(10.0, 0.0)
 
 
@@ -184,7 +183,7 @@ class TestCategoryScore:
         assert category_score(1.0, 1.0, 0.75, 0.25) == 1.0
 
     def test_bad_weights(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(AirbenchError, match="weights must sum to 1"):
             category_score(1.0, 1.0, 0.7, 0.2)
 
 
@@ -202,7 +201,7 @@ class TestGlobalCombination:
         assert combine_global(0.0, 0.0, 0.0, cfg) == 0.0
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(AirbenchError, match="category scores must lie in"):
             combine_global(1.2, 0.0, 0.0, default_scoring_config())
 
 
@@ -318,15 +317,15 @@ class TestScoringConfig:
 
     def test_weight_sum_enforced(self):
         cfg = default_scoring_config()
-        with pytest.raises(ConfigError, match="sum to 1"):
+        with pytest.raises(AirbenchError, match="sum to 1"):
             replace(cfg, alpha_ml=0.5, alpha_ood=0.3, alpha_ph=0.3)
 
     def test_criterion_name_sets_enforced(self):
         cfg = default_scoring_config()
-        with pytest.raises(ConfigError, match="ml thresholds"):
+        with pytest.raises(AirbenchError, match="ml thresholds"):
             replace(cfg, thresholds={**cfg.thresholds,
                                      "ml": {**cfg.thresholds["ml"], "extra": ThresholdSpec(0, 1, Direction.MIN)}})
-        with pytest.raises(ConfigError, match="thresholds must hold exactly"):
+        with pytest.raises(AirbenchError, match="thresholds must hold exactly"):
             replace(cfg, thresholds={**cfg.thresholds, "extra": cfg.thresholds["physics"]})
 
     def test_json_roundtrip(self, tmp_path):

@@ -11,37 +11,40 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from airbench import (
-    ConfigError,
-    DomainError,
+from airbench.errors import AirbenchError
+from airbench.model import Split, validate_sample
+from airbench.synthflow import (
     GenerationConfig,
     JoukowskiParams,
-    ParameterError,
-    SingularityError,
-    Split,
     chord_length,
     circulation_kutta,
     distance_to_surface,
     generate_benchmark,
     generate_split,
-    sample_point_cloud,
-    validate_sample,
-)
-from airbench.synthflow import (
     _VOL_FLOOR,
     _VOL_RMAX,
     _VOL_SCALE,
     _block_levels,
     _contour_cache,
     _min_distance_to_contour,
-    nu_t_at,
-    pressure_at,
+    sample_point_cloud,
     splitmix64,
     surface_nodes,
-    velocity_at,
+    truth_at,
 )
 
 from conftest import CAMBERED, SYMMETRIC, TINY_CONFIG
+
+
+def truth(params, points):
+    """The truth fields at a point or (M, 2) points, with the distances generation uses."""
+    pts = np.atleast_2d(points)
+    return truth_at(params, pts, distance_to_surface(params, pts))
+
+
+def velocity(params, points):
+    f = truth(params, points)
+    return np.column_stack([f.u_x, f.u_y])
 
 
 class TestCirculation:
@@ -76,7 +79,7 @@ class TestCirculation:
         assert gamma == pytest.approx(gamma_oracle, rel=1e-9)
 
     def test_degenerate_geometry_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(AirbenchError, match="degenerate geometry"):
             circulation_kutta(JoukowskiParams(mu=complex(1.0, 0.0), a=1.0, u_inf=1.0))
 
 
@@ -84,7 +87,7 @@ class TestVelocity:
     def test_far_field_asymptote(self):
         p = CAMBERED
         far = np.array([1e6 * p.a, 0.3 * p.a])
-        u = velocity_at(p, far)
+        u = velocity(p, far)[0]
         expect = p.u_inf * np.array([math.cos(p.alpha_rad), math.sin(p.alpha_rad)])
         assert np.linalg.norm(u - expect) < 1e-6 * p.u_inf
 
@@ -94,24 +97,24 @@ class TestVelocity:
         theta = math.pi + 2.0 * p.alpha_rad + p.beta_rad
         zeta = p.center + p.radius * np.exp(1j * theta)
         z = zeta + p.a * p.a / zeta
-        u = velocity_at(p, np.array([z.real, z.imag]))
+        u = velocity(p, np.array([z.real, z.imag]))[0]
         assert np.linalg.norm(u) < 1e-9 * p.u_inf
 
     def test_impermeability_on_surface(self):
         pos, nrm = surface_nodes(CAMBERED, 256)
-        u = velocity_at(CAMBERED, pos)
+        u = velocity(CAMBERED, pos)
         u_dot_n = np.abs((u * nrm).sum(axis=1))
         assert u_dot_n.max() < 1e-8 * CAMBERED.u_inf
 
     def test_point_inside_is_domain_error(self):
         inside = np.array([0.0, 0.05])  # near the center of the mapped body
-        with pytest.raises(DomainError):
-            velocity_at(CAMBERED, inside)
+        with pytest.raises(AirbenchError, match="lies inside the airfoil"):
+            truth(CAMBERED, inside)
 
     def test_trailing_edge_is_singular(self):
         te = np.array([2.0 * CAMBERED.a, 0.0])
-        with pytest.raises((SingularityError, DomainError)):
-            velocity_at(CAMBERED, te)
+        with pytest.raises(AirbenchError, match="inside the airfoil|mapped singularity"):
+            truth(CAMBERED, te)
 
 
 class TestPressure:
@@ -120,13 +123,13 @@ class TestPressure:
         theta = math.pi + 2.0 * p.alpha_rad + p.beta_rad
         zeta = p.center + p.radius * np.exp(1j * theta)
         z = zeta + p.a * p.a / zeta
-        assert pressure_at(p, np.array([z.real, z.imag])) == pytest.approx(
+        assert truth(p, np.array([z.real, z.imag])).p_s[0] == pytest.approx(
             0.5 * p.u_inf**2, rel=1e-12
         )
 
     def test_far_field_zero(self):
         p = CAMBERED
-        assert abs(pressure_at(p, np.array([1e7, 1e6]))) < 1e-4 * p.u_inf**2
+        assert abs(truth(p, np.array([1e7, 1e6])).p_s[0]) < 1e-4 * p.u_inf**2
 
     def test_freestream_speed_gives_zero(self):
         # Find a point where the local speed equals u_inf by bisection along a
@@ -134,11 +137,11 @@ class TestPressure:
         p = CAMBERED
 
         def speed_minus_uinf(y):
-            u = velocity_at(p, np.array([-3.0 * p.a, y]))
+            u = velocity(p, np.array([-3.0 * p.a, y]))[0]
             return float(np.hypot(*u) - p.u_inf)
 
         y0 = brentq(speed_minus_uinf, 0.0, 1.0 * p.a, xtol=1e-13)
-        assert pressure_at(p, np.array([-3.0 * p.a, y0])) == pytest.approx(
+        assert truth(p, np.array([-3.0 * p.a, y0])).p_s[0] == pytest.approx(
             0.0, abs=1e-9 * p.u_inf**2
         )
 
@@ -146,19 +149,19 @@ class TestPressure:
 class TestNuT:
     def test_zero_on_surface(self):
         pos, _ = surface_nodes(CAMBERED, 64)
-        vals = nu_t_at(CAMBERED, pos)
+        vals = truth(CAMBERED, pos).nu_t
         assert np.all(vals == 0.0)
 
     def test_decays_far_away(self):
-        assert nu_t_at(CAMBERED, np.array([300.0, 0.0])) < 1e-30
+        assert truth(CAMBERED, np.array([300.0, 0.0])).nu_t[0] < 1e-30
 
     def test_interior_probe_matches_closed_form(self):
         p = CAMBERED
         probe = np.array([1.3, 0.9])
         d = float(distance_to_surface(p, probe)[0])
-        speed = float(np.hypot(*velocity_at(p, probe)))
+        speed = float(np.hypot(*velocity(p, probe)[0]))
         expect = 0.41 * d * speed * math.exp(-d / (0.5 * chord_length(p)))
-        assert nu_t_at(p, probe) == pytest.approx(expect, rel=1e-12)
+        assert truth(p, probe).nu_t[0] == pytest.approx(expect, rel=1e-12)
 
     def test_nonnegative_everywhere(self):
         # Probe points built in the preimage plane, so all lie outside the body.
@@ -168,7 +171,7 @@ class TestNuT:
         phis = rng.uniform(0.0, 2.0 * np.pi, size=200)
         zeta = p.center + radii * np.exp(1j * phis)
         z = zeta + p.a * p.a / zeta
-        vals = nu_t_at(p, np.column_stack([z.real, z.imag]))
+        vals = truth(p, np.column_stack([z.real, z.imag])).nu_t
         assert np.all(vals >= 0.0)
 
 
@@ -314,11 +317,11 @@ class TestSamplePointCloud:
     def test_per_field_queries_reproduce_truth_bitwise(self):
         s = sample_point_cloud(CAMBERED, 256, seed=5, sample_id="q")
         f = s.truth_fields
-        np.testing.assert_array_equal(
-            velocity_at(CAMBERED, s.positions), np.column_stack([f.u_x, f.u_y])
-        )
-        np.testing.assert_array_equal(pressure_at(CAMBERED, s.positions), f.p_s)
-        np.testing.assert_array_equal(nu_t_at(CAMBERED, s.positions), f.nu_t)
+        q = truth(CAMBERED, s.positions)
+        np.testing.assert_array_equal(q.u_x, f.u_x)
+        np.testing.assert_array_equal(q.u_y, f.u_y)
+        np.testing.assert_array_equal(q.p_s, f.p_s)
+        np.testing.assert_array_equal(q.nu_t, f.nu_t)
 
     def test_seed_changes_cloud(self):
         a = sample_point_cloud(CAMBERED, 128, seed=12, sample_id="s")
@@ -365,7 +368,7 @@ class TestSamplePointCloud:
         assert speed.max() <= 10.0 * s.meta.u_inf
 
     def test_too_few_nodes_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(AirbenchError, match="need at least 64 nodes"):
             sample_point_cloud(CAMBERED, 63, seed=0)
 
 
@@ -377,7 +380,7 @@ class TestConservation:
         tt = 2.0 * np.pi * np.arange(n) / n
         rr = 5.0 * chord_length(p)
         circle = rr * np.column_stack([np.cos(tt), np.sin(tt)])
-        u = velocity_at(p, circle)
+        u = velocity(p, circle)
         tangent = np.column_stack([-np.sin(tt), np.cos(tt)])
         normal = np.column_stack([np.cos(tt), np.sin(tt)])
         dl = 2.0 * np.pi * rr / n
@@ -393,7 +396,7 @@ class TestGenerationConfig:
         assert (cfg.n_train, cfg.n_test, cfg.n_ood) == (103, 200, 496)
 
     def test_overlapping_ood_range_rejected(self):
-        with pytest.raises(ConfigError, match="overlaps"):
+        with pytest.raises(AirbenchError, match="overlaps"):
             GenerationConfig(u_inf_range=(30, 50), u_inf_range_ood=(45, 60))
 
     def test_json_roundtrip(self, tmp_path):
@@ -425,7 +428,7 @@ class TestGenerateBenchmark:
             assert s.meta.solver_time_s == cfg.solver_time_s
 
     def test_regeneration_reproduces_digests(self, tmp_path):
-        from airbench import dataset_digest
+        from airbench.io import dataset_digest
 
         cfg = GenerationConfig(n_train=2, n_test=2, n_ood=2, nodes_per_sample=64, seed=33)
         generate_benchmark(cfg, tmp_path / "a")
