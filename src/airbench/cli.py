@@ -17,7 +17,7 @@ import shlex
 import sys
 from pathlib import Path
 
-from .baselines import resolve_builtin
+from .baselines import is_builtin, resolve_builtin
 from .errors import AirbenchError, InferenceError, TrainingError
 from .harness import (
     STORE_ENV_VAR,
@@ -36,6 +36,7 @@ from .harness import (
 )
 from .io import dataset_digest, read_dataset, read_json
 from .metrics import evaluate_split  # unused here; perfbench/layers.py patches this name
+from .model import Dataset, Split
 from .scoring import ScoringConfig, default_scoring_config
 from .scoring import score_from_values  # unused here; perfbench/layers.py patches this name
 from .synthflow import GenerationConfig, generate_benchmark
@@ -48,12 +49,12 @@ EXIT_REJECTED = 4
 
 def _predictor_spec(args) -> PredictorSpec:
     name = args.predictor
-    builtin = name in ("oracle", "constant") or name.startswith("knn:")
+    builtin = is_builtin(name)
     return PredictorSpec(
         label=args.label or name,
         builtin=name if builtin else None,
         command=None if builtin else shlex.split(name),
-        working_dir=None if builtin else args.workdir,
+        working_dir=args.workdir,
         training_command=shlex.split(args.train_cmd) if args.train_cmd else None,
     )
 
@@ -76,12 +77,12 @@ def _cmd_generate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     out = Path(args.out)
-    outcome, split_metrics = evaluate_benchmark(
+    rejection, split_metrics = evaluate_benchmark(
         _predictor_spec(args), args.bench, _scoring_config(args.config), out,
         fixed_inference_time_s=args.fixed_time,
     )
-    if outcome.rejected:
-        print(f"rejected: {outcome.reason}", file=sys.stderr)
+    if rejection is not None:
+        print(f"rejected: {rejection}", file=sys.stderr)
         return EXIT_REJECTED
     write_metrics(split_metrics, out / "metrics.json")
     print(f"wrote {out / 'metrics.json'}")
@@ -113,12 +114,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    predictor = resolve_builtin(args.name)
-    if args.train is not None:
-        predictor.fit(read_dataset(args.train))
+    fit = resolve_builtin(args.name)
+    predict = fit(read_dataset(args.train) if args.train is not None else Dataset(split=Split.TRAIN))
     run_inference(
         PredictorSpec(label=args.name, builtin=args.name),
-        args.dataset_dir, read_dataset(args.dataset_dir), args.pred_dir, predictor=predictor,
+        args.dataset_dir, read_dataset(args.dataset_dir), args.pred_dir, predict=predict,
     )
     return EXIT_OK
 
@@ -215,10 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TrainingError, InferenceError) as e:
         print(f"airbench: predictor failure: {e}", file=sys.stderr)
         return EXIT_PREDICTOR
-    except AirbenchError as e:
-        print(f"airbench: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as e:
+    except (AirbenchError, FileNotFoundError) as e:
         print(f"airbench: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -15,6 +15,7 @@ import contextlib
 import fcntl
 import json
 import logging
+import math
 import os
 import signal
 import subprocess
@@ -24,7 +25,7 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .baselines import resolve_builtin
+from .baselines import Predict, resolve_builtin
 from .errors import AirbenchError, FormatError, InferenceError, TrainingError
 from .io import (
     dataset_digest,
@@ -61,7 +62,8 @@ class PredictorSpec:
     Exactly one of `builtin` / `command` must be set. An optional training
     command is invoked as ``training_command <train_dir>`` and is subject to
     the wall-clock training budget; builtins train in-process (their fit is
-    measured against the same budget after the fact).
+    measured against the same budget after the fact), so they take neither a
+    training command nor a working directory.
     """
 
     label: str
@@ -77,17 +79,8 @@ class PredictorSpec:
             raise AirbenchError("external predictor command is empty")
         if self.training_command is not None and len(self.training_command) == 0:
             raise AirbenchError("training command is empty")
-
-
-@dataclass
-class TrainingOutcome:
-    status: str  # "trained" or "rejected"
-    reason: str | None = None
-    elapsed_s: float = 0.0
-
-    @property
-    def rejected(self) -> bool:
-        return self.status == "rejected"
+        if self.builtin is not None and (self.working_dir is not None or self.training_command is not None):
+            raise AirbenchError(f"builtin predictor {self.builtin!r} takes no working directory or training command")
 
 
 def _run_command(argv: list[str], cwd: str | None, timeout: float | None = None) -> tuple[int | None, str]:
@@ -118,45 +111,33 @@ def run_training(
     spec: PredictorSpec,
     train_dir: str | Path,
     budget_s: float,
-    predictor=None,
     clock=time.perf_counter,
-) -> TrainingOutcome:
+) -> tuple[Predict | None, str | None]:
     """Train within the wall-clock budget; overruns reject the submission.
 
     An external training command is stopped at the budget and the run
     rejected; a nonzero exit status is a training failure (TrainingError),
-    which is a different thing than a budget rejection. Builtin fits run
-    in-process and are rejected after the fact if they took too long.
+    which is a different thing than a budget rejection. A builtin is fit
+    in-process and rejected after the fact if it took too long. Returns the
+    builtin's predict function (None for an external predictor) and the
+    rejection reason (None if training is accepted).
     """
+    overrun = f"training budget exceeded ({budget_s:g} s)"
     if spec.command is not None:
         if spec.training_command is None:
-            return TrainingOutcome(status="trained", elapsed_s=0.0)
-        t0 = clock()
+            return None, None
         status, stderr = _run_command(spec.training_command + [str(train_dir)], spec.working_dir, timeout=budget_s)
-        elapsed = clock() - t0
         if status is None:
-            return TrainingOutcome(
-                status="rejected",
-                reason=f"training budget exceeded ({budget_s:g} s)",
-                elapsed_s=elapsed,
-            )
+            return None, overrun
         if status != 0:
             raise TrainingError(f"training command exited with status {status}: {stderr}")
-        return TrainingOutcome(status="trained", elapsed_s=elapsed)
+        return None, None
 
-    if predictor is None:
-        raise AirbenchError("builtin training requires a predictor instance")
+    fit = resolve_builtin(spec.builtin)
     train_ds = read_dataset(train_dir)
     t0 = clock()
-    predictor.fit(train_ds)
-    elapsed = clock() - t0
-    if elapsed > budget_s:
-        return TrainingOutcome(
-            status="rejected",
-            reason=f"training budget exceeded ({budget_s:g} s)",
-            elapsed_s=elapsed,
-        )
-    return TrainingOutcome(status="trained", elapsed_s=elapsed)
+    predict = fit(train_ds)
+    return predict, (overrun if clock() - t0 > budget_s else None)
 
 
 def run_inference(
@@ -164,16 +145,17 @@ def run_inference(
     dataset_dir: str | Path,
     dataset: Dataset,
     pred_dir: str | Path,
-    predictor=None,
+    predict: Predict | None = None,
     clock=time.perf_counter,
 ) -> tuple[float, list[Prediction]]:
     """Produce predictions for one split and measure wall-clock seconds.
 
     `dataset` is the split read from `dataset_dir`; an external predictor is
-    handed the directory, a builtin one the samples. External: the timer
-    brackets the whole process invocation. Builtin: the timer brackets the
-    prediction loop only; writing prediction files and verifying them happen
-    outside it. Returns the measured seconds and the verified predictions.
+    handed the directory, a builtin's `predict` function (from
+    `run_training`) the samples. External: the timer brackets the whole
+    process invocation. Builtin: the timer brackets the prediction loop only;
+    writing prediction files and verifying them happen outside it. Returns
+    the measured seconds and the verified predictions.
     """
     pred_dir = Path(pred_dir)
     pred_dir.mkdir(parents=True, exist_ok=True)
@@ -185,10 +167,8 @@ def run_inference(
         if status != 0:
             raise InferenceError(f"predictor exited with status {status}: {stderr}")
     else:
-        if predictor is None:
-            raise AirbenchError("builtin inference requires a predictor instance")
         t0 = clock()
-        fields = [predictor.predict(s) for s in dataset.samples]
+        fields = [predict(s) for s in dataset.samples]
         elapsed = clock() - t0
         write_predictions(
             [Prediction(sample_id=s.id, fields=f) for s, f in zip(dataset.samples, fields)],
@@ -285,6 +265,16 @@ def read_score_report(path: str | Path) -> ScoreReport:
     return decode(ScoreReport, read_json(path), path)
 
 
+def _check_inputs(bench_dir: Path, fixed_inference_time_s: float | None) -> None:
+    """Refuse, before any work, a benchmark directory that lacks a split or a fixed time that is not positive."""
+    for name in ("train", *SCORED_SPLITS):
+        if not (bench_dir / name / "manifest.json").exists():
+            raise FormatError(f"benchmark directory is missing the {name!r} split: {bench_dir / name}")
+    t = fixed_inference_time_s
+    if t is not None and not (t > 0 and math.isfinite(t)):
+        raise AirbenchError(f"fixed inference time must be positive and finite, got {t}")
+
+
 def evaluate_benchmark(
     spec: PredictorSpec,
     bench_dir: str | Path,
@@ -293,21 +283,21 @@ def evaluate_benchmark(
     *,
     fixed_inference_time_s: float | None,
     clock=time.perf_counter,
-) -> tuple[TrainingOutcome, dict[str, SplitMetrics] | None]:
+) -> tuple[str | None, dict[str, SplitMetrics] | None]:
     """Train, then run inference on the test and OOD splits and evaluate them.
 
     Each split is read once; its predictions go to ``out_dir/pred/<split>``.
     `fixed_inference_time_s` substitutes a deterministic stub time for each
     split's measured one. Training runs against the config's budget.
-    Returns the training outcome and {split: SplitMetrics}, or None for the
-    metrics if training was rejected.
+    Returns the rejection reason and None if training was rejected, else
+    None and {split: SplitMetrics}.
     """
     bench_dir = Path(bench_dir)
     out_dir = Path(out_dir)
-    predictor = resolve_builtin(spec.builtin) if spec.builtin is not None else None
-    outcome = run_training(spec, bench_dir / "train", config.training_budget_s, predictor=predictor, clock=clock)
-    if outcome.rejected:
-        return outcome, None
+    _check_inputs(bench_dir, fixed_inference_time_s)
+    predict, rejection = run_training(spec, bench_dir / "train", config.training_budget_s, clock=clock)
+    if rejection is not None:
+        return rejection, None
 
     split_metrics: dict[str, SplitMetrics] = {}
     for name in SCORED_SPLITS:
@@ -315,11 +305,11 @@ def evaluate_benchmark(
         dataset = read_dataset(split_dir)
         elapsed, predictions = run_inference(
             spec, split_dir, dataset, out_dir / "pred" / name,
-            predictor=predictor, clock=clock,
+            predict=predict, clock=clock,
         )
         used = elapsed if fixed_inference_time_s is None else float(fixed_inference_time_s)
         split_metrics[name] = evaluate_split(dataset, predictions, config.field_criteria, total_inference_time_s=used)
-    return outcome, split_metrics
+    return None, split_metrics
 
 
 def score_metrics(split_metrics: dict[str, SplitMetrics], config: ScoringConfig) -> ScoreReport:
@@ -359,9 +349,7 @@ def run_benchmark(
     appended there.
     """
     bench_dir = Path(bench_dir)
-    for name in ("train", *SCORED_SPLITS):
-        if not (bench_dir / name / "manifest.json").exists():
-            raise FormatError(f"benchmark directory is missing the {name!r} split: {bench_dir / name}")
+    _check_inputs(bench_dir, fixed_inference_time_s)  # here too, so that bad inputs are refused before the digests
 
     tmp = None
     if out_dir is None:
@@ -372,12 +360,12 @@ def run_benchmark(
 
     try:
         digests = {name: dataset_digest(bench_dir / name) for name in ("train", *SCORED_SPLITS)}
-        outcome, split_metrics = evaluate_benchmark(
+        rejection, split_metrics = evaluate_benchmark(
             spec, bench_dir, config, out_dir,
             fixed_inference_time_s=fixed_inference_time_s, clock=clock,
         )
-        if outcome.rejected:
-            report = rejected_report(outcome.reason)
+        if rejection is not None:
+            report = rejected_report(rejection)
         else:
             write_metrics(split_metrics, out_dir / "metrics.json")
             report = score_metrics(split_metrics, config)

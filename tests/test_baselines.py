@@ -11,6 +11,7 @@ from airbench.baselines import (
     _node_features,
     constant_predict,
     fit_channel_means,
+    is_builtin,
     knn_fit,
     knn_predict,
     oracle_predict,
@@ -160,10 +161,21 @@ class TestKnn:
 
 
 class TestResolveBuiltin:
-    def test_names(self):
-        assert resolve_builtin("oracle").label == "oracle"
-        assert resolve_builtin("constant").label == "constant"
-        assert resolve_builtin("knn:7").k == 7
+    def test_names(self, train_ds, test_ds):
+        # Each name's fit function predicts as its module functions do, k=7 included.
+        oracle = resolve_builtin("oracle")(train_ds)
+        constant = resolve_builtin("constant")(train_ds)
+        knn7 = resolve_builtin("knn:7")(train_ds)
+        stats, model = fit_channel_means(train_ds), knn_fit(train_ds, 7)
+        for s in test_ds.samples:
+            assert oracle(s) is s.truth_fields
+            assert constant(s) == constant_predict(stats, s)
+            assert knn7(s) == knn_predict(model, s)
+        assert any(knn7(s) != knn_predict(knn_fit(train_ds, 6), s) for s in test_ds.samples)
+
+    def test_is_builtin(self):
+        assert all(is_builtin(name) for name in ("oracle", "constant", "knn:7", "knn:many"))
+        assert not any(is_builtin(name) for name in ("python predict.py", "knn", "oracle2"))
 
     def test_unknown(self):
         with pytest.raises(AirbenchError, match="unknown builtin predictor"):

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import airbench
+from airbench import baselines
 from airbench.cli import main
 from airbench.harness import (
     LeaderboardEntry,
@@ -189,6 +190,58 @@ class TestCli:
         capsys.readouterr()
         assert len(leaderboard_list(store)) == 1
 
+    @pytest.mark.parametrize("verb", ["evaluate", "run"])
+    @pytest.mark.parametrize("fixed_time", ["0", "-1", "nan", "inf"])
+    def test_fixed_time_not_positive_and_finite_is_refused(self, bench, tmp_path, capsys, verb, fixed_time):
+        store = ["--store", str(tmp_path / "lb.jsonl")] if verb == "run" else []
+        rc = main([verb, "--predictor", "oracle", "--bench", str(bench), "--out", str(tmp_path / "out"),
+                   "--fixed-time", fixed_time, *store])
+        assert rc == 2
+        assert "fixed inference time must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "metrics.json").exists()
+        assert not (tmp_path / "out" / "pred").exists()
+
+    @pytest.mark.parametrize("flag", [["--workdir", "/"], ["--train-cmd", "true"]])
+    def test_builtin_refuses_external_flags(self, bench, tmp_path, capsys, flag):
+        rc = main(["run", "--predictor", "knn:3", "--bench", str(bench), "--out", str(tmp_path / "out"),
+                   "--store", str(tmp_path / "lb.jsonl"), *flag])
+        assert rc == 2
+        assert "takes no working directory or training command" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["evaluate", "run"])
+    def test_bench_missing_a_split_is_refused_before_work(self, bench, tmp_path, capsys, verb):
+        partial = tmp_path / "bench"
+        for name in ("train", "test"):
+            shutil.copytree(bench / name, partial / name)
+        store = ["--store", str(tmp_path / "lb.jsonl")] if verb == "run" else []
+        rc = main([verb, "--predictor", "constant", "--bench", str(partial), "--out", str(tmp_path / "out"), *store])
+        assert rc == 2
+        assert "missing the 'ood' split" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "pred").exists()
+
+    def test_builtins_are_found_through_the_baselines_module(self, bench, tmp_path, monkeypatch, capsys):
+        # Tracing wraps these module globals; a run must look them up when it runs, not earlier.
+        calls = {"oracle_predict": 0, "knn_fit": 0, "knn_predict": 0}
+
+        def counting(name):
+            real = getattr(baselines, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(baselines, name, counting(name))
+        for predictor in ("oracle", "knn:3"):
+            assert main(["run", "--predictor", predictor, "--bench", str(bench), "--out", str(tmp_path / predictor),
+                         "--store", str(tmp_path / "lb.jsonl"), "--fixed-time", "1"]) == 0
+        capsys.readouterr()
+        n = TINY_CONFIG.n_test + TINY_CONFIG.n_ood
+        assert calls == {"oracle_predict": n, "knn_fit": 1, "knn_predict": n}
+
     def test_failing_external_predictor_exit_code(self, tmp_path, capsys):
         gen_cfg = tmp_path / "gen.json"
         gen_cfg.write_text(json.dumps(asdict(TINY_CONFIG)))
@@ -286,6 +339,8 @@ class TestPredict:
     @pytest.mark.parametrize("name, split, message", [
         ("knn:x", "test", "bad knn predictor name"),
         ("oracle", "missing", "missing file"),
+        ("constant", "test", "cannot fit on an empty training split"),
+        ("knn:3", "test", "cannot fit on an empty training split"),
     ])
     def test_failure_is_validation_error(self, bench, tmp_path, name, split, message):
         proc = _python("-m", "airbench.cli", "predict", name, str(bench / split), str(tmp_path / "pred"))

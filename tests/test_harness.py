@@ -10,7 +10,7 @@ from dataclasses import asdict
 import pytest
 
 import airbench.harness as harness
-from airbench.baselines import resolve_builtin
+from airbench.baselines import oracle_predict, resolve_builtin
 from airbench.errors import AirbenchError, TrainingError
 from airbench.harness import (
     LeaderboardEntry,
@@ -42,11 +42,16 @@ def _builtin_spec(name: str, **kw) -> PredictorSpec:
 
 class TestRunTraining:
     def test_builtin_noop_trains_instantly(self, small_bench):
-        out = run_training(
-            _builtin_spec("oracle"), small_bench / "train", budget_s=60.0,
-            predictor=resolve_builtin("oracle"),
+        predict, rejection = run_training(_builtin_spec("oracle"), small_bench / "train", budget_s=60.0)
+        assert rejection is None
+        assert predict is oracle_predict
+
+    def test_builtin_fit_over_budget_rejected(self, small_bench):
+        ticks = iter([0.0, 2.0])
+        _, rejection = run_training(
+            _builtin_spec("constant"), small_bench / "train", budget_s=1.0, clock=lambda: next(ticks),
         )
-        assert out.status == "trained" and out.elapsed_s < 60.0
+        assert rejection == "training budget exceeded (1 s)"
 
     def test_external_sleep_rejected(self, small_bench):
         spec = PredictorSpec(
@@ -54,9 +59,9 @@ class TestRunTraining:
             command=[sys.executable, "-c", "pass"],
             training_command=[sys.executable, "-c", "import time; time.sleep(60)"],
         )
-        out = run_training(spec, small_bench / "train", budget_s=1.0)
-        assert out.rejected
-        assert "training budget exceeded" in out.reason
+        predict, rejection = run_training(spec, small_bench / "train", budget_s=1.0)
+        assert predict is None
+        assert rejection == "training budget exceeded (1 s)"
 
     def test_budget_kills_the_whole_process_group(self, small_bench, tmp_path):
         # The command's background child touches `started` at once and `late` 2 s in,
@@ -67,8 +72,8 @@ class TestRunTraining:
             command=[sys.executable, "-c", "pass"],
             training_command=["sh", "-c", '(touch "$1"; sleep 2; touch "$2") & wait', "sh", str(started), str(late)],
         )
-        out = run_training(spec, small_bench / "train", budget_s=1.0)
-        assert out.rejected
+        _, rejection = run_training(spec, small_bench / "train", budget_s=1.0)
+        assert rejection is not None
         time.sleep(2.0)
         assert started.exists()
         assert not late.exists()
@@ -83,8 +88,8 @@ class TestRunTraining:
             command=[sys.executable, "-c", "pass"],
             training_command=["sh", "-c", f'(sleep 1; touch "$1"){redirect} & exit 0', "sh", str(late)],
         )
-        out = run_training(spec, small_bench / "train", budget_s=0.5)
-        assert out.status == "trained" and out.elapsed_s < 0.5
+        # Accepted under a 0.5 s budget: the command was not waited on past it.
+        assert run_training(spec, small_bench / "train", budget_s=0.5) == (None, None)
         time.sleep(1.5)
         assert not late.exists()
 
@@ -99,16 +104,15 @@ class TestRunTraining:
 
     def test_external_without_training_command_is_noop(self, small_bench):
         spec = PredictorSpec(label="x", command=[sys.executable, "-c", "pass"])
-        assert run_training(spec, small_bench / "train", budget_s=1.0).status == "trained"
+        assert run_training(spec, small_bench / "train", budget_s=1.0) == (None, None)
 
 
 class TestRunInference:
     def test_builtin_oracle_covers_split(self, small_bench, tmp_path):
-        predictor = resolve_builtin("oracle")
         dataset = read_dataset(small_bench / "test")
         elapsed, preds = run_inference(
             _builtin_spec("oracle"), small_bench / "test", dataset, tmp_path / "pred",
-            predictor=predictor,
+            predict=oracle_predict,
         )
         assert elapsed > 0.0
         assert len(preds) == TINY_CONFIG.n_test
@@ -132,11 +136,10 @@ class TestRunInference:
 
     def test_deterministic_prediction_bytes(self, small_bench, tmp_path):
         spec = _builtin_spec("constant")
-        predictor = resolve_builtin("constant")
-        predictor.fit(read_dataset(small_bench / "train"))
+        predict = resolve_builtin("constant")(read_dataset(small_bench / "train"))
         dataset = read_dataset(small_bench / "test")
-        run_inference(spec, small_bench / "test", dataset, tmp_path / "p1", predictor=predictor)
-        run_inference(spec, small_bench / "test", dataset, tmp_path / "p2", predictor=predictor)
+        run_inference(spec, small_bench / "test", dataset, tmp_path / "p1", predict=predict)
+        run_inference(spec, small_bench / "test", dataset, tmp_path / "p2", predict=predict)
         files1 = sorted((tmp_path / "p1").glob("*.csv"))
         files2 = sorted((tmp_path / "p2").glob("*.csv"))
         assert [f.name for f in files1] == [f.name for f in files2]
@@ -160,13 +163,12 @@ class TestRunInference:
             return real_read(pred_dir, dataset)
 
         monkeypatch.setattr(harness, "read_predictions", spy_read)
-        predictor = resolve_builtin("oracle")
         elapsed, _ = harness.run_inference(
             _builtin_spec("oracle"),
             small_bench / "test",
             read_dataset(small_bench / "test"),
             tmp_path / "pred",
-            predictor=predictor,
+            predict=oracle_predict,
             clock=fake_clock,
         )
         assert seen_at == [2]  # both timer reads happened before verification
