@@ -34,7 +34,7 @@ from .harness import (
     write_metrics,
     write_score_report,
 )
-from .io import dataset_digest, read_dataset, read_json
+from .io import dataset_digest, decode, read_dataset, read_json
 from .metrics import evaluate_split  # unused here; perfbench/layers.py patches this name
 from .model import Dataset, Split
 from .scoring import ScoringConfig, default_scoring_config
@@ -62,11 +62,11 @@ def _predictor_spec(args) -> PredictorSpec:
 def _scoring_config(path: str | None) -> ScoringConfig:
     if path is None:
         return default_scoring_config()
-    return ScoringConfig.from_dict(read_json(path))
+    return decode(ScoringConfig, read_json(path), path)
 
 
 def _cmd_generate(args) -> int:
-    config = GenerationConfig.from_dict(read_json(args.config)) if args.config else GenerationConfig()
+    config = decode(GenerationConfig, read_json(args.config), args.config) if args.config else GenerationConfig()
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     datasets = generate_benchmark(config, args.out)
@@ -77,14 +77,14 @@ def _cmd_generate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     out = Path(args.out)
-    rejection, split_metrics = evaluate_benchmark(
+    rejection, metrics = evaluate_benchmark(
         _predictor_spec(args), args.bench, _scoring_config(args.config), out,
         fixed_inference_time_s=args.fixed_time,
     )
     if rejection is not None:
         print(f"rejected: {rejection}", file=sys.stderr)
         return EXIT_REJECTED
-    write_metrics(split_metrics, out / "metrics.json")
+    write_metrics(metrics, out / "metrics.json")
     print(f"wrote {out / 'metrics.json'}")
     return EXIT_OK
 

@@ -28,16 +28,16 @@ from pathlib import Path
 from .baselines import Predict, resolve_builtin
 from .errors import AirbenchError, FormatError, InferenceError, TrainingError
 from .io import (
+    RunMetrics,
     dataset_digest,
     decode,
-    decoding,
     read_dataset,
     read_json,
     read_predictions,
     write_json,
     write_predictions,
 )
-from .metrics import SplitMetrics, evaluate_split
+from .metrics import SplitMetrics, evaluate_split, total_solver_time_s
 from .model import Dataset, Prediction
 from .scoring import (
     ScoreReport,
@@ -243,16 +243,14 @@ def _timestamp(include: bool) -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def write_metrics(split_metrics: dict[str, SplitMetrics], path: str | Path) -> None:
+def write_metrics(metrics: RunMetrics, path: str | Path) -> None:
     """Write ``metrics.json``: the raw metrics of each scored split."""
-    write_json(path, {name: asdict(m) for name, m in split_metrics.items()})
+    write_json(path, asdict(metrics))
 
 
-def read_metrics(path: str | Path) -> dict[str, SplitMetrics]:
+def read_metrics(path: str | Path) -> RunMetrics:
     """Read the test and OOD metrics back from a ``metrics.json``."""
-    doc = decode(dict[str, SplitMetrics], read_json(path), path)
-    with decoding(path):
-        return {name: doc[name] for name in SCORED_SPLITS}
+    return decode(RunMetrics, read_json(path), path)
 
 
 def write_score_report(report: ScoreReport, path: str | Path) -> None:
@@ -283,14 +281,15 @@ def evaluate_benchmark(
     *,
     fixed_inference_time_s: float | None,
     clock=time.perf_counter,
-) -> tuple[str | None, dict[str, SplitMetrics] | None]:
+) -> tuple[str | None, RunMetrics | None]:
     """Train, then run inference on the test and OOD splits and evaluate them.
 
     Each split is read once; its predictions go to ``out_dir/pred/<split>``.
     `fixed_inference_time_s` substitutes a deterministic stub time for each
     split's measured one. Training runs against the config's budget.
     Returns the rejection reason and None if training was rejected, else
-    None and {split: SplitMetrics}.
+    None and the metrics. A speed-up that scoring would refuse is refused
+    here; with a fixed time, before the split's inference.
     """
     bench_dir = Path(bench_dir)
     out_dir = Path(out_dir)
@@ -303,23 +302,28 @@ def evaluate_benchmark(
     for name in SCORED_SPLITS:
         split_dir = bench_dir / name
         dataset = read_dataset(split_dir)
+        if fixed_inference_time_s is not None:
+            compute_speedup(total_solver_time_s(dataset), fixed_inference_time_s)
         elapsed, predictions = run_inference(
             spec, split_dir, dataset, out_dir / "pred" / name,
             predict=predict, clock=clock,
         )
         used = elapsed if fixed_inference_time_s is None else float(fixed_inference_time_s)
-        split_metrics[name] = evaluate_split(dataset, predictions, config.field_criteria, total_inference_time_s=used)
-    return None, split_metrics
+        metrics = evaluate_split(dataset, predictions, config.field_criteria, total_inference_time_s=used)
+        if fixed_inference_time_s is None:
+            compute_speedup(metrics.total_solver_time_s, used)
+        split_metrics[name] = metrics
+    return None, RunMetrics(**split_metrics)
 
 
-def score_metrics(split_metrics: dict[str, SplitMetrics], config: ScoringConfig) -> ScoreReport:
+def score_metrics(metrics: RunMetrics, config: ScoringConfig) -> ScoreReport:
     """Score the test and OOD metrics.
 
     ML and physics criteria come from the test split, OOD criteria from the
     OOD split. Each speed-up is the split's total reference solver time over
     its inference time.
     """
-    test, ood = split_metrics["test"], split_metrics["ood"]
+    test, ood = metrics.test, metrics.ood
     test_values = criterion_values_from_metrics(test)
     return score_from_values(
         ml_values=test_values,
@@ -360,15 +364,15 @@ def run_benchmark(
 
     try:
         digests = {name: dataset_digest(bench_dir / name) for name in ("train", *SCORED_SPLITS)}
-        rejection, split_metrics = evaluate_benchmark(
+        rejection, metrics = evaluate_benchmark(
             spec, bench_dir, config, out_dir,
             fixed_inference_time_s=fixed_inference_time_s, clock=clock,
         )
         if rejection is not None:
             report = rejected_report(rejection)
         else:
-            write_metrics(split_metrics, out_dir / "metrics.json")
-            report = score_metrics(split_metrics, config)
+            report = score_metrics(metrics, config)
+            write_metrics(metrics, out_dir / "metrics.json")
         entry = LeaderboardEntry(
             label=spec.label,
             timestamp=_timestamp(include_timestamp),

@@ -1,22 +1,22 @@
-"""On-disk formats for datasets and predictions.
+"""On-disk formats: JSON records, datasets, predictions and metrics.
 
 Dataset directory layout::
 
-    <dir>/manifest.json            split name, sample ids + file names, config digest
+    <dir>/manifest.json            a Manifest: split name, sample ids + file names, config digest
     <dir>/samples/<id>.csv         header x,y,dist,nx,ny,is_surf,u_x,u_y,p_s,nu_t
-    <dir>/samples/<id>.meta.json   surface_order, inlet_velocity, scalar metadata
+    <dir>/samples/<id>.meta.json   a SampleSidecar: surface_order, inlet_velocity, scalar metadata
 
 Prediction directory: one ``<id>.csv`` per sample with header
 ``u_x,u_y,p_s,nu_t`` and rows in the sample's node order.
 
-Serialization is canonical: floats are written with 17 significant digits
-(exact float64 round-trip), JSON keys are sorted, so writing the same dataset
-twice yields byte-identical files.
+Every JSON file is a record: it is written as ``asdict(record)`` and read
+back through `decode`. Serialization is canonical: floats are written with
+17 significant digits (exact float64 round-trip), JSON keys are sorted, so
+writing the same dataset twice yields byte-identical files.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import json
@@ -25,13 +25,14 @@ import re
 import reprlib
 import types
 import typing
-from dataclasses import MISSING, asdict, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .errors import AirbenchError, FormatError
+from .metrics import SplitMetrics
 from .model import (
     Dataset,
     FieldSet,
@@ -47,6 +48,8 @@ PRED_CSV_HEADER = "u_x,u_y,p_s,nu_t"
 _FLOAT_FMT = "%.17g"
 _SAMPLE_ROW = ",".join([_FLOAT_FMT] * 5 + ["%d"] + [_FLOAT_FMT] * 4) + "\n"
 _PRED_ROW = ",".join([_FLOAT_FMT] * 4) + "\n"
+# The JSON types each scalar type accepts; a JSON integer is taken as a float.
+_SCALARS = {float: {int, float}, int: {int}, bool: {bool}, str: {str}}
 
 
 def _csv_text(header: str, columns: list[np.ndarray], row_format: str) -> str:
@@ -60,12 +63,20 @@ def write_json(path: str | Path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def read_json(path: str | Path):
-    """Parse a JSON file; a missing, non-UTF-8 or invalid file raises FormatError naming it."""
+def _read_bytes(path: str | Path) -> bytes:
+    """A file's bytes; a missing or unreadable file raises FormatError naming it."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes()
     except FileNotFoundError:
         raise FormatError(f"missing file: {path}") from None
+    except OSError as e:
+        raise FormatError(f"{path}: {e.strerror}") from None
+
+
+def read_json(path: str | Path):
+    """Parse a JSON file; a missing, unreadable, non-UTF-8 or invalid file raises FormatError naming it."""
+    try:
+        text = _read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: not UTF-8 (byte {e.start}: {e.reason})") from None
     try:
@@ -93,7 +104,13 @@ def _field_types(cls) -> dict[str, tuple[object, bool]]:
 
 
 def _decode(tp, value, path: str):
-    if is_dataclass(tp):
+    if tp in _SCALARS:
+        if type(value) in _SCALARS[tp]:
+            try:
+                return tp(value)
+            except OverflowError:
+                raise _Refused(path, f"{reprlib.repr(value)} is too large for a float") from None
+    elif is_dataclass(tp):
         if not isinstance(value, dict):
             raise _Refused(path, f"expected an object, got {reprlib.repr(value)}")
         declared = _field_types(tp)
@@ -110,16 +127,10 @@ def _decode(tp, value, path: str):
             return tp(**kwargs)
         except AirbenchError as e:
             raise _Refused(path, str(e)) from None
-    if isinstance(tp, type) and issubclass(tp, Enum):
+    elif isinstance(tp, type) and issubclass(tp, Enum):
         for member in tp:
             if type(member.value) is type(value) and member.value == value:
                 return member
-    elif tp is float:
-        if type(value) in (int, float):
-            return float(value)
-    elif tp in (int, bool, str):
-        if type(value) is tp:
-            return value
     else:
         origin, args = typing.get_origin(tp), typing.get_args(tp)
         if origin in (types.UnionType, typing.Union) and type(None) in args:
@@ -156,19 +167,57 @@ def decode(tp, value, source: str | Path):
         raise FormatError(f"{source}: {e}") from None
 
 
-@contextlib.contextmanager
-def decoding(source: str | Path):
-    """Raise a missing key or a wrong type met while decoding `source` as FormatError naming it."""
-    try:
-        yield
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"{source}: {type(e).__name__}: {e}") from None
-
-
 def json_digest(obj) -> str:
     """SHA-256 of the compact canonical JSON of `obj`."""
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@dataclass
+class ManifestEntry:
+    """One sample of a manifest: its id and the paths of its files, relative to the dataset directory."""
+
+    id: str
+    csv: str
+    meta: str
+
+    def __post_init__(self):
+        if self.id in (".", "..") or "/" in self.id or os.sep in self.id:
+            raise FormatError(f"id {self.id!r} is not a plain file name")
+        for key in ("csv", "meta"):
+            name = getattr(self, key)
+            if os.path.isabs(name) or os.path.normpath(name).split(os.sep)[0] == "..":
+                raise FormatError(f"{key} path {name!r} of {self.id!r} leaves the directory")
+
+
+@dataclass
+class Manifest:
+    """``manifest.json``: the split, the digest of the config that generated it, and its samples in order."""
+
+    split: Split
+    generation_config_digest: str
+    samples: list[ManifestEntry]
+
+
+@dataclass
+class SampleSidecar:
+    """``<id>.meta.json``: the values of a sample that are not per node."""
+
+    surface_order: list[int]
+    inlet_velocity: tuple[float, float]
+    meta: SampleMeta
+
+    def __post_init__(self):
+        if self.surface_order and not 0 <= min(self.surface_order) <= max(self.surface_order) < 2**63:
+            raise FormatError("surface_order: an index lies outside [0, 2**63)")
+
+
+@dataclass
+class RunMetrics:
+    """``metrics.json``: the raw metrics of the two scored splits."""
+
+    test: SplitMetrics
+    ood: SplitMetrics
 
 
 def _sample_csv_text(sample: Sample) -> str:
@@ -202,25 +251,13 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> None:
 
     entries = []
     for sample in dataset.samples:
-        csv_name = f"samples/{sample.id}.csv"
-        meta_name = f"samples/{sample.id}.meta.json"
-        (directory / csv_name).write_text(_sample_csv_text(sample), encoding="utf-8")
-        write_json(
-            directory / meta_name,
-            {
-                "surface_order": [int(i) for i in sample.surface_order],
-                "inlet_velocity": [float(v) for v in sample.inlet_velocity],
-                "meta": asdict(sample.meta),
-            },
-        )
-        entries.append({"id": sample.id, "csv": csv_name, "meta": meta_name})
-
-    manifest = {
-        "split": dataset.split.value,
-        "generation_config_digest": dataset.generation_config_digest,
-        "samples": entries,
-    }
-    write_json(directory / "manifest.json", manifest)
+        entry = ManifestEntry(id=sample.id, csv=f"samples/{sample.id}.csv", meta=f"samples/{sample.id}.meta.json")
+        (directory / entry.csv).write_text(_sample_csv_text(sample), encoding="utf-8")
+        sidecar = SampleSidecar(sample.surface_order.tolist(), tuple(sample.inlet_velocity.tolist()), sample.meta)
+        write_json(directory / entry.meta, asdict(sidecar))
+        entries.append(entry)
+    manifest = Manifest(split=dataset.split, generation_config_digest=dataset.generation_config_digest, samples=entries)
+    write_json(directory / "manifest.json", asdict(manifest))
 
 
 def _read_csv(path: Path, header: str) -> np.ndarray:
@@ -235,65 +272,40 @@ def _read_csv(path: Path, header: str) -> np.ndarray:
             raise FormatError(f"{path}: {e}") from None
 
 
-def _entry_paths(directory: Path, entry: dict) -> list[Path]:
-    """The csv and meta paths a manifest entry names; each must lie inside `directory`."""
-    paths = []
-    for key in ("csv", "meta"):
-        name = entry.get(key)
-        if not isinstance(name, str):
-            raise FormatError(f"{directory}: manifest entry {entry.get('id')!r} lacks a {key!r} path")
-        if os.path.isabs(name) or os.path.normpath(name).split(os.sep)[0] == "..":
-            raise FormatError(f"{directory}: {key} path {name!r} of {entry.get('id')!r} leaves the directory")
-        paths.append(directory / name)
-    return paths
-
-
 def read_dataset(directory: str | Path) -> Dataset:
     """Read a dataset directory; the result satisfies every type invariant.
 
-    Raises FormatError for missing or malformed files and AirbenchError
-    (naming the sample id and field) for invariant violations.
+    Raises FormatError naming the file for a missing or malformed file, and
+    naming the directory, the sample id and the field for a violated invariant.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
-    manifest = read_json(manifest_path)
-    with decoding(manifest_path):
-        split = Split(manifest["split"])
-        config_digest = manifest["generation_config_digest"]
-        entries = [dict(entry) for entry in manifest["samples"]]
-
+    manifest = decode(Manifest, read_json(manifest_path), manifest_path)
     samples = []
-    for entry in entries:
-        sid = entry.get("id")
-        if not isinstance(sid, str):
-            raise FormatError(f"{manifest_path}: sample entry without a string id: {entry!r}")
-        csv_path, meta_path = _entry_paths(directory, entry)
-        if not csv_path.exists():
-            raise FormatError(f"manifest references missing sample file for id {sid!r}")
+    for entry in manifest.samples:
+        csv_path, meta_path = directory / entry.csv, directory / entry.meta
+        if not csv_path.is_file():
+            raise FormatError(f"missing sample file for id {entry.id!r}: {csv_path}")
         data = _read_csv(csv_path, SAMPLE_CSV_HEADER)
         if data.size and data.shape[1] != 10:
             raise FormatError(f"{csv_path}: expected 10 columns, got {data.shape[1]}")
-        sidecar = read_json(meta_path)
-        with decoding(meta_path):
-            sample = Sample(
-                id=sid,
-                positions=data[:, 0:2],
-                inlet_velocity=np.asarray(sidecar["inlet_velocity"], dtype=np.float64),
-                distance=data[:, 2],
-                normals=data[:, 3:5],
-                is_surface=data[:, 5] != 0.0,
-                surface_order=np.asarray(sidecar["surface_order"], dtype=np.int64),
-                truth_fields=FieldSet(
-                    u_x=data[:, 6], u_y=data[:, 7], p_s=data[:, 8], nu_t=data[:, 9]
-                ),
-                meta=decode(SampleMeta, sidecar["meta"], meta_path),
-            )
-        samples.append(sample)
+        sidecar = decode(SampleSidecar, read_json(meta_path), meta_path)
+        samples.append(Sample(
+            id=entry.id,
+            positions=data[:, 0:2],
+            inlet_velocity=sidecar.inlet_velocity,
+            distance=data[:, 2],
+            normals=data[:, 3:5],
+            is_surface=data[:, 5] != 0.0,
+            surface_order=sidecar.surface_order,
+            truth_fields=FieldSet(u_x=data[:, 6], u_y=data[:, 7], p_s=data[:, 8], nu_t=data[:, 9]),
+            meta=sidecar.meta,
+        ))
 
-    dataset = Dataset(split=split, samples=samples, generation_config_digest=config_digest)
+    dataset = Dataset(split=manifest.split, samples=samples, generation_config_digest=manifest.generation_config_digest)
     violations = validate_dataset(dataset)
     if violations:
-        raise AirbenchError("; ".join(violations[:10]))
+        raise FormatError(f"{directory}: " + "; ".join(violations[:10]))
     return dataset
 
 
@@ -345,11 +357,8 @@ def dataset_digest(directory: str | Path) -> str:
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     h = hashlib.sha256()
-    h.update(manifest_path.read_bytes())
-    manifest = read_json(manifest_path)
-    with decoding(manifest_path):
-        entries = [dict(entry) for entry in manifest["samples"]]
-    for entry in entries:
-        for path in _entry_paths(directory, entry):
-            h.update(path.read_bytes())
+    h.update(_read_bytes(manifest_path))
+    for entry in decode(Manifest, read_json(manifest_path), manifest_path).samples:
+        h.update(_read_bytes(directory / entry.csv))
+        h.update(_read_bytes(directory / entry.meta))
     return h.hexdigest()

@@ -154,15 +154,6 @@ class FieldCriterion:
             raise AirbenchError(f"criterion {self.name!r}: normalization must be positive")
 
 
-DEFAULT_FIELD_CRITERIA = (
-    FieldCriterion(name="u_x", channel="u_x"),
-    FieldCriterion(name="u_y", channel="u_y"),
-    FieldCriterion(name="p", channel="p_s", subset="all"),
-    FieldCriterion(name="nu_t", channel="nu_t"),
-    FieldCriterion(name="p_s", channel="p_s", subset="surface"),
-)
-
-
 @dataclass
 class SplitMetrics:
     """All raw criterion values for one dataset split; ``metrics.json`` must hold every one."""
@@ -178,10 +169,15 @@ class SplitMetrics:
     total_solver_time_s: float
 
 
+def total_solver_time_s(dataset: Dataset) -> float:
+    """The reference solver time of every sample of `dataset`, summed in sample-id order."""
+    return float(sum(s.meta.solver_time_s for s in sorted(dataset.samples, key=lambda s: s.id)))
+
+
 def evaluate_split(
     dataset: Dataset,
     predictions: list[Prediction],
-    criteria: tuple[FieldCriterion, ...] = DEFAULT_FIELD_CRITERIA,
+    criteria: tuple[FieldCriterion, ...],
     total_inference_time_s: float = 0.0,
 ) -> SplitMetrics:
     """Compute every raw criterion for one split.
@@ -225,5 +221,5 @@ def evaluate_split(
         spearman_d_degenerate=deg_d,
         spearman_l_degenerate=deg_l,
         total_inference_time_s=total_inference_time_s,
-        total_solver_time_s=float(sum(s.meta.solver_time_s for s in samples)),
+        total_solver_time_s=total_solver_time_s(dataset),
     )

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 
-class Split(Enum):
+class Split(str, Enum):  # a str, so that JSON writes a split as its value
     TRAIN = "train"
     TEST = "test"
     OOD_TEST = "ood"
@@ -131,10 +131,6 @@ class Sample(_Record):
     @property
     def n_nodes(self) -> int:
         return int(self.positions.shape[0])
-
-    def surface_polygon(self) -> np.ndarray:
-        """Surface node coordinates in contour order, shape (S, 2)."""
-        return self.positions[self.surface_order]
 
 
 @dataclass(eq=False)

@@ -96,12 +96,15 @@ def accuracy_score(n_great: int, n_acceptable: int, n_unacceptable: int) -> floa
 
 
 def compute_speedup(solver_time_s: float, inference_time_s: float) -> float:
-    """Reference solver time over surrogate inference time."""
+    """Reference solver time over surrogate inference time; both, and their ratio, positive and finite."""
     if not (solver_time_s > 0 and math.isfinite(solver_time_s)):
         raise AirbenchError(f"solver time must be positive, got {solver_time_s}")
     if not (inference_time_s > 0 and math.isfinite(inference_time_s)):
         raise AirbenchError(f"inference time must be positive, got {inference_time_s}")
-    return solver_time_s / inference_time_s
+    speedup = solver_time_s / inference_time_s
+    if not (speedup > 0 and math.isfinite(speedup)):
+        raise AirbenchError(f"speed-up must be positive and finite, got {solver_time_s} / {inference_time_s}")
+    return speedup
 
 
 def speed_score(speedup: float, speedup_max: float) -> float:
@@ -170,7 +173,7 @@ class ScoringConfig:
     """Weights, speed-up cap, training budget, and per-criterion thresholds.
 
     `thresholds` holds one table per category of `CATEGORIES`. The fields
-    are the JSON layout: `asdict` writes a config, `from_dict` reads it.
+    are the JSON layout: `asdict` writes a config, `decode` reads it.
     """
 
     alpha_ml: float
@@ -203,10 +206,6 @@ class ScoringConfig:
         if sorted(crit_names) != sorted(ML_CRITERIA):
             raise AirbenchError(f"field criteria must be exactly {sorted(ML_CRITERIA)}")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScoringConfig":
-        return decode(cls, data, "scoring config")
-
     def digest(self) -> str:
         return json_digest(asdict(self))
 
@@ -214,7 +213,7 @@ class ScoringConfig:
 def default_scoring_config() -> ScoringConfig:
     """The shipped default configuration (weights, caps, threshold table)."""
     with resources.as_file(resources.files("airbench.data") / "default_scoring.json") as path:
-        return ScoringConfig.from_dict(read_json(path))
+        return decode(ScoringConfig, read_json(path), path)
 
 
 def build_category(

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AirbenchError
-from .io import decode, json_digest, write_dataset, write_json
+from .io import json_digest, write_dataset, write_json
 from .model import Dataset, FieldSet, Sample, SampleMeta, Split
 
 NU_T_KAPPA = 0.41          # prefactor of the viscosity surrogate
@@ -501,11 +501,6 @@ class GenerationConfig:
             raise AirbenchError("angle of attack must satisfy |alpha| < pi/2")
         if not (self.rho > 0 and self.solver_time_s > 0):
             raise AirbenchError("rho and solver_time_s must be positive")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GenerationConfig":
-        """Decode a config's JSON object; keys left out keep their defaults."""
-        return decode(cls, data, "generation config")
 
     def digest(self) -> str:
         return json_digest(asdict(self))

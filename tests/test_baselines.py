@@ -20,7 +20,10 @@ from airbench.baselines import (
 from airbench.errors import AirbenchError
 from airbench.metrics import evaluate_split, field_error, force_coefficients
 from airbench.model import Dataset, Prediction, Split
+from airbench.scoring import default_scoring_config
 from airbench.synthflow import JoukowskiParams, sample_point_cloud
+
+CRITERIA = default_scoring_config().field_criteria
 
 
 def _varied_dataset(split: Split, n: int, nodes: int = 96, seed: int = 100) -> Dataset:
@@ -52,12 +55,12 @@ def test_ds():
 class TestOracle:
     def test_zero_error_on_every_channel(self, test_ds):
         preds = [Prediction(sample_id=s.id, fields=oracle_predict(s)) for s in test_ds.samples]
-        m = evaluate_split(test_ds, preds)
+        m = evaluate_split(test_ds, preds, CRITERIA)
         assert all(v == 0.0 for v in m.field_errors.values())
 
     def test_perfect_rank_correlation(self, test_ds):
         preds = [Prediction(sample_id=s.id, fields=oracle_predict(s)) for s in test_ds.samples]
-        m = evaluate_split(test_ds, preds)
+        m = evaluate_split(test_ds, preds, CRITERIA)
         assert m.spearman_d == 1.0 and m.spearman_l == 1.0
 
 
@@ -67,7 +70,7 @@ class TestConstant:
         preds = [
             Prediction(sample_id=s.id, fields=constant_predict(stats, s)) for s in test_ds.samples
         ]
-        m = evaluate_split(test_ds, preds)
+        m = evaluate_split(test_ds, preds, CRITERIA)
         pooled = np.concatenate(
             [s.truth_fields.u_x for s in sorted(test_ds.samples, key=lambda t: t.id)]
         )
@@ -83,7 +86,7 @@ class TestConstant:
         # uniform pressure -> zero predicted force on a closed contour
         cl_pred = [force_coefficients(s, p.fields)[1] for s, p in zip(test_ds.samples, preds)]
         assert np.all(np.abs(cl_pred) < 1e-10)
-        m = evaluate_split(test_ds, preds)
+        m = evaluate_split(test_ds, preds, CRITERIA)
         assert m.c_l_rel_err == pytest.approx(1.0, abs=1e-8)
 
     def test_degenerate_rank_correlation(self, train_ds, test_ds):
@@ -91,7 +94,7 @@ class TestConstant:
         preds = [
             Prediction(sample_id=s.id, fields=constant_predict(stats, s)) for s in test_ds.samples
         ]
-        m = evaluate_split(test_ds, preds)
+        m = evaluate_split(test_ds, preds, CRITERIA)
         assert m.spearman_l == 0.0 and m.spearman_l_degenerate
 
     def test_empty_split_rejected(self):

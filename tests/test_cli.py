@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import operator
 import os
+import reprlib
 import shutil
 import subprocess
 import sys
@@ -14,19 +17,30 @@ from pathlib import Path
 import pytest
 
 import airbench
-from airbench import baselines
+from airbench import baselines, harness
 from airbench.cli import main
+from airbench.errors import AirbenchError, FormatError
 from airbench.harness import (
     LeaderboardEntry,
     PredictorSpec,
+    append_leaderboard_entry,
     leaderboard_list,
     run_benchmark,
     score_metrics,
 )
-from airbench.io import write_json
+from airbench.io import (
+    Manifest,
+    RunMetrics,
+    SampleSidecar,
+    dataset_digest,
+    decode,
+    read_dataset,
+    read_json,
+    write_json,
+)
 from airbench.metrics import SplitMetrics
-from airbench.scoring import ML_CRITERIA, default_scoring_config
-from airbench.synthflow import generate_benchmark
+from airbench.scoring import ML_CRITERIA, ScoreReport, default_scoring_config
+from airbench.synthflow import GenerationConfig, generate_benchmark
 
 from conftest import TINY_CONFIG
 
@@ -201,6 +215,28 @@ class TestCli:
         assert not (tmp_path / "out" / "metrics.json").exists()
         assert not (tmp_path / "out" / "pred").exists()
 
+    @pytest.mark.parametrize("verb", ["evaluate", "run"])
+    def test_fixed_time_whose_speedup_overflows_is_refused(self, bench, tmp_path, capsys, verb):
+        store = ["--store", str(tmp_path / "lb.jsonl")] if verb == "run" else []
+        rc = main([verb, "--predictor", "oracle", "--bench", str(bench), "--out", str(tmp_path / "out"),
+                   "--fixed-time", "1e-320", *store])
+        assert rc == 2
+        assert "speed-up must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "metrics.json").exists()
+        assert not (tmp_path / "out" / "pred").exists()
+
+    def test_run_whose_scoring_fails_writes_no_metrics(self, bench, tmp_path, capsys, monkeypatch):
+        def refuse(**kwargs):
+            raise AirbenchError("scoring refused")
+
+        monkeypatch.setattr(harness, "score_from_values", refuse)
+        rc = main(["run", "--predictor", "oracle", "--bench", str(bench), "--out", str(tmp_path / "out"),
+                   "--store", str(tmp_path / "lb.jsonl"), "--fixed-time", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "airbench: scoring refused\n"
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["pred"]
+        assert not (tmp_path / "lb.jsonl").exists()
+
     @pytest.mark.parametrize("flag", [["--workdir", "/"], ["--train-cmd", "true"]])
     def test_builtin_refuses_external_flags(self, bench, tmp_path, capsys, flag):
         rc = main(["run", "--predictor", "knn:3", "--bench", str(bench), "--out", str(tmp_path / "out"),
@@ -367,7 +403,7 @@ def _metrics_doc() -> dict:
 def _report_doc() -> dict:
     """The ``score_report.json`` object that scoring `_metrics_doc` gives."""
     split = SplitMetrics(**_metrics_doc()["test"])
-    return asdict(score_metrics({"test": split, "ood": split}, default_scoring_config()))
+    return asdict(score_metrics(RunMetrics(test=split, ood=split), default_scoring_config()))
 
 
 def _metrics_with(edit):
@@ -460,6 +496,8 @@ MALFORMED = {
         lambda doc: doc["thresholds"].update(extra=doc["thresholds"]["physics"])),
     "report-not-utf8": lambda bench, tmp: ["report", _not_utf8(tmp)],
     "score-metrics-not-utf8": lambda bench, tmp: ["score", "--metrics", _not_utf8(tmp)],
+    "score-metrics-is-a-directory": lambda bench, tmp: ["score", "--metrics", str(tmp)],
+    "manifest-csv-is-a-directory": _bench_with("manifest.json", lambda doc: doc["samples"][0].update(csv="samples")),
     "run-config-not-utf8": lambda bench, tmp: [
         "run", "--predictor", "oracle", "--bench", str(bench), "--out", str(tmp / "out"),
         "--store", str(tmp / "lb.jsonl"), "--config", _not_utf8(tmp)],
@@ -559,3 +597,90 @@ def test_mutated_records_never_end_in_a_traceback(tmp_path, capsys):
     capsys.readouterr()
     assert codes == {0, 2}
     assert listed == {0, 1}
+
+
+def _at(doc, path):
+    return functools.reduce(operator.getitem, path, doc)
+
+
+def _split_file_mutations(doc):
+    """`_mutations` of a manifest or sidecar, then an unknown key added to each of its objects.
+
+    Yields the edited copy and whether it must be refused: every key of these
+    records is required, so a deleted key must be, as must a value of another
+    JSON type than the written one (an integer may stand for a float) and an
+    unknown key.
+    """
+    for path, value, copy in _mutations(doc):
+        if value is _DELETE:
+            yield copy, isinstance(path[-1], str)
+        else:
+            old = _at(doc, path)
+            yield copy, type(value) is not type(old) and not (type(old) is float and type(value) is int)
+    for path in [(), *(p for p in _paths(doc) if isinstance(_at(doc, p), dict))]:
+        copy = json.loads(json.dumps(doc))
+        _at(copy, path)["unknown"] = 1
+        yield copy, True
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "samples/test-0001.meta.json"])
+def test_mutated_split_files_are_read_or_refused_naming_the_file(bench, tmp_path, name):
+    split = tmp_path / "test"
+    shutil.copytree(bench / "test", split)
+    path = split / name
+    doc = json.loads(path.read_text())
+    readers = (read_dataset, dataset_digest) if name == "manifest.json" else (read_dataset,)
+    refused = 0
+    for copy, must_refuse in _split_file_mutations(doc):
+        _write(path, json.dumps(copy))
+        for read in readers:
+            try:
+                read(split)
+            except FormatError as e:
+                assert str(split) in str(e), (copy, e)
+                assert str(e).startswith(f"{path}: ") or not must_refuse, (copy, e)
+                refused += must_refuse
+            else:
+                assert not must_refuse, copy
+    assert refused > 100
+
+
+def _float_indices(doc):
+    doc["surface_order"][:3] = [0.5, 1.7, True]
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("samples/test-0000.meta.json", lambda doc: doc.update(inlet_velocity=["30", "1"]),
+     "inlet_velocity[0]: expected float, got '30'"),
+    ("samples/test-0000.meta.json", _float_indices, "surface_order[0]: expected int, got 0.5"),
+    ("samples/test-0000.meta.json", lambda doc: doc["meta"].update(reynolds=1e6), "meta: unknown key 'reynolds'"),
+    ("manifest.json", lambda doc: doc.update(version=2), "unknown key 'version'"),
+    ("manifest.json", lambda doc: doc["samples"][2].update(md5="0"), "samples[2]: unknown key 'md5'"),
+    ("manifest.json", lambda doc: doc["samples"][2].update(id="../../escaped"),
+     "samples[2]: id '../../escaped' is not a plain file name"),
+    ("samples/test-0000.meta.json", lambda doc: doc["meta"].update(solver_time_s=10**400),
+     f"meta.solver_time_s: {reprlib.repr(10**400)} is too large for a float"),
+])
+def test_mutated_bench_is_refused_naming_file_and_field(bench, tmp_path, capsys, name, edit, message):
+    _bench_with(name, edit)(bench, tmp_path)  # edits a copy at tmp_path / "bench"
+    assert main(["run", "--predictor", "oracle", "--bench", str(tmp_path / "bench"), "--out", str(tmp_path / "out"),
+                 "--store", str(tmp_path / "lb.jsonl"), "--fixed-time", "1"]) == 2
+    assert capsys.readouterr().err == f"airbench: {tmp_path / 'bench' / 'test' / name}: {message}\n"
+
+
+def test_every_written_json_file_decodes_to_its_record_and_back(bench, tmp_path, capsys):
+    assert main(["run", "--predictor", "knn:3", "--bench", str(bench), "--out", str(tmp_path / "run"),
+                 "--store", str(tmp_path / "lb.jsonl"), "--fixed-time", "1", "--no-timestamp"]) == 0
+    capsys.readouterr()
+    records = {"generation_config.json": GenerationConfig, "manifest.json": Manifest,
+               "metrics.json": RunMetrics, "score_report.json": ScoreReport}
+    paths = sorted([*bench.rglob("*.json"), *(tmp_path / "run").glob("*.json")])
+    assert len(paths) == 1 + 3 + 3 * 3 + 2
+    for path in paths:
+        tp = SampleSidecar if path.name.endswith(".meta.json") else records[path.name]
+        record = decode(tp, read_json(path), path)
+        write_json(tmp_path / "again.json", asdict(record))
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes(), path
+    line = (tmp_path / "lb.jsonl").read_text()
+    append_leaderboard_entry(tmp_path / "again.jsonl", decode(LeaderboardEntry, json.loads(line), "lb.jsonl"))
+    assert (tmp_path / "again.jsonl").read_text() == line

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,10 @@ import airbench
 from airbench.errors import AirbenchError, FormatError
 from airbench.harness import LeaderboardEntry
 from airbench.io import (
+    Manifest,
+    ManifestEntry,
+    RunMetrics,
+    SampleSidecar,
     dataset_digest,
     decode,
     read_dataset,
@@ -74,10 +79,10 @@ _DIGEST_SCRIPT = """
 import contextlib, hashlib, json, sys
 from pathlib import Path
 from airbench.cli import main
-from airbench.io import dataset_digest, write_dataset
+from airbench.io import dataset_digest, decode, write_dataset
 from airbench.model import Split
 from airbench.synthflow import GenerationConfig, generate_split
-cfg = GenerationConfig.from_dict(json.loads(sys.argv[1]))
+cfg = decode(GenerationConfig, json.loads(sys.argv[1]), "config")
 out = Path(sys.argv[3])
 write_dataset(generate_split(cfg, Split.TRAIN), out / "train")
 print(dataset_digest(out / "train"))
@@ -322,12 +327,21 @@ def _nan_report():
     return score_from_values(ml, ood, ph, 750.0, 750.0, default_scoring_config())
 
 
-RECORDS = {
-    "split-metrics": lambda: SplitMetrics(
+def _split_metrics():
+    return SplitMetrics(
         field_errors={"p_s": 2.5e-7, "u_x": 1 / 3}, c_d_rel_err=12.75, c_l_rel_err=0.1,
         spearman_d=-0.25, spearman_l=1.0, spearman_d_degenerate=True, spearman_l_degenerate=False,
         total_inference_time_s=0.003, total_solver_time_s=4500.0,
-    ),
+    )
+
+
+def _sample_meta():
+    return SampleMeta(alpha_rad=-0.1, u_inf=42.0, chord=1.0000000000000002, rho=1.2, solver_time_s=1500.0)
+
+
+RECORDS = {
+    "split-metrics": _split_metrics,
+    "run-metrics": lambda: RunMetrics(test=_split_metrics(), ood=replace(_split_metrics(), spearman_l=math.nan)),
     "score-report-nan-criterion": _nan_report,
     "score-report-rejected": lambda: rejected_report("training budget exceeded (2 s)"),
     "leaderboard-entry": lambda: LeaderboardEntry(
@@ -338,8 +352,13 @@ RECORDS = {
     ),
     "generation-config": lambda: GenerationConfig(n_train=5, seed=99),
     "generation-config-ood-camber": lambda: GenerationConfig(ood_camber_range=(0.13, 0.15)),
-    "sample-meta": lambda: SampleMeta(alpha_rad=-0.1, u_inf=42.0, chord=1.0000000000000002, rho=1.2,
-                                      solver_time_s=1500.0),
+    "sample-meta": _sample_meta,
+    "sample-sidecar": lambda: SampleSidecar(surface_order=[3, 0, 2, 1], inlet_velocity=(41.5, -4.25),
+                                            meta=_sample_meta()),
+    "manifest": lambda: Manifest(split=Split.OOD_TEST, generation_config_digest="ab12", samples=[
+        ManifestEntry(id=f"ood-{i:04d}", csv=f"samples/ood-{i:04d}.csv", meta=f"samples/ood-{i:04d}.meta.json")
+        for i in (1, 0)
+    ]),
     "field-criterion": lambda: FieldCriterion(name="p_s", channel="p_s", kind="rmse", subset="surface",
                                               normalization=443.5),
 }
@@ -353,14 +372,14 @@ def test_record_roundtrip_keeps_value_and_bytes(tmp_path, kind):
     # The records list dict keys sorted, as they read back, so repr compares everything
     # exactly: floats, enum members, tuples, and NaN, which `==` takes as unequal.
     assert repr(back) == repr(record)
-    assert back == record or kind == "score-report-nan-criterion"
+    assert back == record or kind in ("score-report-nan-criterion", "run-metrics")
     write_json(tmp_path / "b.json", asdict(back))
     assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
 
 
 def test_generation_config_digest_ignores_integer_spelling_of_floats():
-    digest = GenerationConfig.from_dict({"rho": 1.0}).digest()
-    assert GenerationConfig.from_dict({"rho": 1}).digest() == digest == GenerationConfig(rho=1.0).digest()
+    digest = decode(GenerationConfig, {"rho": 1.0}, "config").digest()
+    assert decode(GenerationConfig, {"rho": 1}, "config").digest() == digest == GenerationConfig(rho=1.0).digest()
 
 
 @pytest.mark.parametrize("tp, doc, message", [
@@ -378,6 +397,18 @@ def test_generation_config_digest_ignores_integer_spelling_of_floats():
     (ScoreReport, {**asdict(rejected_report("r")), "rejection_reason": 3}, "rejection_reason: expected str"),
     (LeaderboardEntry, {"label": "a", "timestamp": "t", "scoring_config_digest": "c", "speedups": {"test": 1.0}},
      "missing key 'dataset_digests'"),
+    (SampleSidecar, {**json.loads(json.dumps(asdict(RECORDS["sample-sidecar"]()))), "surface_order": [0, 2**63]},
+     r"surface_order: an index lies outside \[0, 2\*\*63\)"),
+    (SampleSidecar, {**asdict(RECORDS["sample-sidecar"]()), "surface_order": [0, 1, 2.0]},
+     r"surface_order\[2\]: expected int, got 2.0"),
+    (SampleSidecar, {**asdict(RECORDS["sample-sidecar"]()), "inlet_velocity": [1.0]},
+     r"inlet_velocity: expected tuple\[float, float\], got \[1.0\]"),
+    (Manifest, {**asdict(RECORDS["manifest"]()), "split": "validation"}, "split: expected Split, got 'validation'"),
+    (RunMetrics, {"test": asdict(_split_metrics())}, "missing key 'ood'"),
+    (SampleSidecar, {**asdict(RECORDS["sample-sidecar"]()), "inlet_velocity": [10**400, 0.0]},
+     r"inlet_velocity\[0\]: 10+\.\.\.0+ is too large for a float"),
+    (Manifest, {**json.loads(json.dumps(asdict(RECORDS["manifest"]()))), "samples": [{"id": "..", "csv": "a.csv", "meta": "a.json"}]},
+     r"samples\[0\]: id '\.\.' is not a plain file name"),
 ])
 def test_decode_names_the_refused_field(tp, doc, message):
     with pytest.raises(FormatError, match=rf"^source\.json: {message}"):

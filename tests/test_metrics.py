@@ -16,9 +16,12 @@ from airbench.metrics import (
     spearman_with_flag,
 )
 from airbench.model import Dataset, FieldSet, Prediction, Sample, SampleMeta, Split
+from airbench.scoring import default_scoring_config
 from airbench.synthflow import chord_length, circulation_kutta, sample_point_cloud
 
 from conftest import CAMBERED, SYMMETRIC
+
+CRITERIA = default_scoring_config().field_criteria
 
 
 class TestFieldError:
@@ -221,14 +224,14 @@ class TestCoefficientSeries:
         cd_true, cl_true, cd_pred, cl_pred = _series(ds, _echo_predictions(ds))
         np.testing.assert_array_equal(cd_true, cd_pred)
         np.testing.assert_array_equal(cl_true, cl_pred)
-        m = evaluate_split(ds, _echo_predictions(ds))
+        m = evaluate_split(ds, _echo_predictions(ds), CRITERIA)
         assert m.c_d_rel_err == 0.0 and m.c_l_rel_err == 0.0
 
     def test_matches_per_sample_calls(self):
         ds = _toy_dataset(n=4)
         preds = _zero_predictions(ds)
         cd_true, cl_true, cd_pred, cl_pred = _series(ds, preds)
-        m = evaluate_split(ds, preds)
+        m = evaluate_split(ds, preds, CRITERIA)
         assert m.c_d_rel_err == mean_relative_error(cd_pred, cd_true)
         assert m.c_l_rel_err == mean_relative_error(cl_pred, cl_true)
         assert (m.spearman_d, m.spearman_d_degenerate) == spearman_with_flag(cd_true, cd_pred)
@@ -254,7 +257,7 @@ class TestMeanRelativeError:
 class TestEvaluateSplit:
     def test_oracle_predictor_is_perfect(self):
         ds = _toy_dataset()
-        m = evaluate_split(ds, _echo_predictions(ds))
+        m = evaluate_split(ds, _echo_predictions(ds), CRITERIA)
         assert all(v == 0.0 for v in m.field_errors.values())
         assert m.c_d_rel_err == 0.0 and m.c_l_rel_err == 0.0
         assert m.spearman_d == 1.0 and m.spearman_l == 1.0
@@ -263,7 +266,7 @@ class TestEvaluateSplit:
     def test_zero_predictor_matches_composed_operations(self):
         ds = _toy_dataset(n=5)
         zeros = _zero_predictions(ds)
-        m = evaluate_split(ds, zeros)
+        m = evaluate_split(ds, zeros, CRITERIA)
         pooled = np.concatenate([s.truth_fields.u_x for s in sorted(ds.samples, key=lambda t: t.id)])
         assert m.field_errors["u_x"] == pytest.approx(np.mean(np.abs(pooled)), rel=1e-14)
         _, cl_true, _, cl_pred = _series(ds, zeros)
@@ -272,16 +275,16 @@ class TestEvaluateSplit:
 
     def test_single_sample_split_degenerates(self):
         ds = _toy_dataset(n=1)
-        m = evaluate_split(ds, _echo_predictions(ds))
+        m = evaluate_split(ds, _echo_predictions(ds), CRITERIA)
         assert m.spearman_d == 0.0 and m.spearman_d_degenerate
         assert m.spearman_l == 0.0 and m.spearman_l_degenerate
 
     def test_order_independence(self):
         ds = _toy_dataset(n=4)
         preds = _echo_predictions(ds)
-        m1 = evaluate_split(ds, preds)
+        m1 = evaluate_split(ds, preds, CRITERIA)
         shuffled = Dataset(split=ds.split, samples=list(reversed(ds.samples)))
-        m2 = evaluate_split(shuffled, list(reversed(preds)))
+        m2 = evaluate_split(shuffled, list(reversed(preds)), CRITERIA)
         assert m1 == m2
 
     def test_surface_subset_differs_from_volume(self):
@@ -298,6 +301,6 @@ class TestEvaluateSplit:
             )
             for s in ds.samples
         ]
-        m = evaluate_split(ds, zeros)
+        m = evaluate_split(ds, zeros, CRITERIA)
         assert m.field_errors["p"] != m.field_errors["p_s"]
         assert m.field_errors["u_x"] == 0.0

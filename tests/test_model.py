@@ -186,7 +186,7 @@ class TestPolygonIsSimple:
     def test_generated_contours(self):
         for n in (32, 257):
             s = sample_point_cloud(CAMBERED, 4 * n, seed=9, sample_id="c")
-            assert polygon_is_simple(s.surface_polygon())
+            assert polygon_is_simple(s.positions[s.surface_order])
 
     def test_agrees_with_reference_on_small_integer_polygons(self, pairs_per_pass):
         # A 4x4 grid is dense in collinear, touching and repeated vertices, and its
@@ -201,10 +201,10 @@ class TestPolygonIsSimple:
 
     def test_agrees_with_reference_on_perturbed_contours(self, pairs_per_pass):
         rng = np.random.default_rng(13)
-        contours = [
-            sample_point_cloud(CAMBERED, 4 * n, seed=seed, sample_id="c").surface_polygon()
-            for seed, n in ((1, 16), (2, 60), (3, 250))
+        clouds = [
+            sample_point_cloud(CAMBERED, 4 * n, seed=seed, sample_id="c") for seed, n in ((1, 16), (2, 60), (3, 250))
         ]
+        contours = [s.positions[s.surface_order] for s in clouds]
         verdicts = []
         for k in range(90):
             pts = contours[k % 3].copy()

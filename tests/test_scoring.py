@@ -170,6 +170,11 @@ class TestComputeSpeedup:
         with pytest.raises(AirbenchError, match="inference time must be positive"):
             compute_speedup(10.0, 0.0)
 
+    @pytest.mark.parametrize("solver, inference", [(1500.0, 1e-320), (1e300, 1e-10), (5e-324, 1e10)])
+    def test_ratio_out_of_range(self, solver, inference):
+        with pytest.raises(AirbenchError, match="speed-up must be positive and finite"):
+            compute_speedup(solver, inference)
+
 
 class TestCategoryScore:
     def test_reference_blend(self):
@@ -332,7 +337,7 @@ class TestScoringConfig:
         cfg = default_scoring_config()
         path = tmp_path / "scoring.json"
         write_json(path, asdict(cfg))
-        back = ScoringConfig.from_dict(read_json(path))
+        back = decode(ScoringConfig, read_json(path), path)
         assert back == cfg
         assert back.digest() == cfg.digest()
 

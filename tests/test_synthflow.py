@@ -12,6 +12,7 @@ import pytest
 from scipy.optimize import brentq
 
 from airbench.errors import AirbenchError
+from airbench.io import decode
 from airbench.model import Split, validate_sample
 from airbench.synthflow import (
     GenerationConfig,
@@ -338,7 +339,7 @@ class TestSamplePointCloud:
         n_surf = math.ceil(130 / 4)
         assert int(s.is_surface.sum()) == n_surf
         assert list(s.surface_order) == list(range(n_surf))
-        poly = s.surface_polygon()
+        poly = s.positions[s.surface_order]
         area = 0.5 * float(
             np.sum(poly[:, 0] * np.roll(poly[:, 1], -1) - np.roll(poly[:, 0], -1) * poly[:, 1])
         )
@@ -347,12 +348,12 @@ class TestSamplePointCloud:
     def test_trailing_edge_excluded(self):
         s = sample_point_cloud(CAMBERED, 512, seed=4, sample_id="te")
         te = np.array([2.0 * CAMBERED.a, 0.0])
-        gaps = np.linalg.norm(s.surface_polygon() - te, axis=1)
+        gaps = np.linalg.norm(s.positions[s.surface_order] - te, axis=1)
         assert gaps.min() > 1e-6
 
     def test_normals_match_finite_difference_oracle(self):
         s = sample_point_cloud(CAMBERED, 2048, seed=8, sample_id="n")
-        poly = s.surface_polygon()
+        poly = s.positions[s.surface_order]
         t_fd = np.roll(poly, -1, axis=0) - np.roll(poly, 1, axis=0)
         t_fd /= np.linalg.norm(t_fd, axis=1, keepdims=True)
         n_fd = np.column_stack([t_fd[:, 1], -t_fd[:, 0]])
@@ -401,7 +402,7 @@ class TestGenerationConfig:
 
     def test_json_roundtrip(self, tmp_path):
         cfg = GenerationConfig(n_train=5, seed=99, ood_camber_range=(0.13, 0.15))
-        back = GenerationConfig.from_dict(json.loads(json.dumps(asdict(cfg))))
+        back = decode(GenerationConfig, json.loads(json.dumps(asdict(cfg))), "config")
         assert back == cfg
         assert back.digest() == cfg.digest()
 
