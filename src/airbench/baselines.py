@@ -167,21 +167,22 @@ def is_builtin(name: str) -> bool:
     return name in ("oracle", "constant") or name.startswith("knn:")
 
 
-def resolve_builtin(name: str) -> Callable[[Dataset], Predict]:
+def resolve_builtin(name: str) -> Callable[[Callable[[], Dataset]], Predict]:
     """Map a builtin predictor name to its fit function.
 
-    The fit function takes the training split and returns the per-sample
-    predict function. It looks up this module's functions when it runs, not
+    The fit function takes a zero-argument loader of the training split and
+    returns the per-sample predict function; only a fit that uses the split
+    calls the loader. It looks up this module's functions when it runs, not
     before, so a wrapper patched onto the module before a run sees its calls.
     """
     if name == "oracle":
-        return lambda train: oracle_predict
+        return lambda load_train: oracle_predict
     if name == "constant":
-        return lambda train: partial(constant_predict, fit_channel_means(train))
+        return lambda load_train: partial(constant_predict, fit_channel_means(load_train()))
     if name.startswith("knn:"):
         try:
             k = int(name.split(":", 1)[1])
         except ValueError:
             raise AirbenchError(f"bad knn predictor name {name!r}, expected knn:<k>") from None
-        return lambda train: partial(knn_predict, knn_fit(train, k))
+        return lambda load_train: partial(knn_predict, knn_fit(load_train(), k))
     raise AirbenchError(f"unknown builtin predictor {name!r}")

@@ -115,7 +115,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_predict(args) -> int:
     fit = resolve_builtin(args.name)
-    predict = fit(read_dataset(args.train) if args.train is not None else Dataset(split=Split.TRAIN))
+    predict = fit(lambda: read_dataset(args.train) if args.train is not None else Dataset(split=Split.TRAIN))
     run_inference(
         PredictorSpec(label=args.name, builtin=args.name),
         args.dataset_dir, read_dataset(args.dataset_dir), args.pred_dir, predict=predict,

@@ -2,9 +2,12 @@
 
 External predictors follow a file protocol: the harness invokes
 ``command <dataset_dir> <pred_dir>`` and expects one prediction CSV per
-sample. The wall-clock timer covers the full process invocation; builtin
-predictors are timed around their prediction loop only (file writing and
-prediction verification stay outside the timed window in both cases).
+sample, which it reads back and scores. The wall-clock timer covers the full
+process invocation. Builtin predictors run in-process: their fit reads the
+training split only if it uses it, they are timed around their prediction
+loop only, and their predictions are scored from memory after being written
+(the files hold the same bits). Writing and checking predictions stay outside
+the timed window in both cases.
 Results append to a line-delimited JSON leaderboard under an exclusive
 advisory lock.
 """
@@ -29,6 +32,7 @@ from .baselines import Predict, resolve_builtin
 from .errors import AirbenchError, FormatError, InferenceError, TrainingError
 from .io import (
     RunMetrics,
+    check_prediction,
     dataset_digest,
     decode,
     read_dataset,
@@ -61,9 +65,10 @@ class PredictorSpec:
 
     Exactly one of `builtin` / `command` must be set. An optional training
     command is invoked as ``training_command <train_dir>`` and is subject to
-    the wall-clock training budget; builtins train in-process (their fit is
-    measured against the same budget after the fact), so they take neither a
-    training command nor a working directory.
+    the wall-clock training budget; builtins train in-process (their fit,
+    with its read of the training split, is measured against the same budget
+    after the fact), so they take neither a training command nor a working
+    directory.
     """
 
     label: str
@@ -118,7 +123,8 @@ def run_training(
     An external training command is stopped at the budget and the run
     rejected; a nonzero exit status is a training failure (TrainingError),
     which is a different thing than a budget rejection. A builtin is fit
-    in-process and rejected after the fact if it took too long. Returns the
+    in-process, reading the training split only if its fit uses it, and
+    rejected after the fact if reading and fitting took too long. Returns the
     builtin's predict function (None for an external predictor) and the
     rejection reason (None if training is accepted).
     """
@@ -134,9 +140,8 @@ def run_training(
         return None, None
 
     fit = resolve_builtin(spec.builtin)
-    train_ds = read_dataset(train_dir)
     t0 = clock()
-    predict = fit(train_ds)
+    predict = fit(lambda: read_dataset(train_dir))
     return predict, (overrun if clock() - t0 > budget_s else None)
 
 
@@ -153,9 +158,11 @@ def run_inference(
     `dataset` is the split read from `dataset_dir`; an external predictor is
     handed the directory, a builtin's `predict` function (from
     `run_training`) the samples. External: the timer brackets the whole
-    process invocation. Builtin: the timer brackets the prediction loop only;
-    writing prediction files and verifying them happen outside it. Returns
-    the measured seconds and the verified predictions.
+    process invocation, and the prediction files it leaves are read back and
+    verified. Builtin: the timer brackets the prediction loop only; the
+    predictions' shapes are then checked in memory and the files written,
+    and the in-memory predictions are returned, which hold the same bits as
+    the files. Returns the measured seconds and the verified predictions.
     """
     pred_dir = Path(pred_dir)
     pred_dir.mkdir(parents=True, exist_ok=True)
@@ -166,16 +173,16 @@ def run_inference(
         elapsed = clock() - t0
         if status != 0:
             raise InferenceError(f"predictor exited with status {status}: {stderr}")
-    else:
-        t0 = clock()
-        fields = [predict(s) for s in dataset.samples]
-        elapsed = clock() - t0
-        write_predictions(
-            [Prediction(sample_id=s.id, fields=f) for s, f in zip(dataset.samples, fields)],
-            pred_dir,
-        )
+        return elapsed, read_predictions(pred_dir, dataset)
 
-    return elapsed, read_predictions(pred_dir, dataset)
+    t0 = clock()
+    fields = [predict(s) for s in dataset.samples]
+    elapsed = clock() - t0
+    for sample, f in zip(dataset.samples, fields):
+        check_prediction(sample, f)
+    predictions = [Prediction(sample_id=s.id, fields=f) for s, f in zip(dataset.samples, fields)]
+    write_predictions(predictions, pred_dir)
+    return elapsed, predictions
 
 
 @dataclass
@@ -284,7 +291,9 @@ def evaluate_benchmark(
 ) -> tuple[str | None, RunMetrics | None]:
     """Train, then run inference on the test and OOD splits and evaluate them.
 
-    Each split is read once; its predictions go to ``out_dir/pred/<split>``.
+    Each scored split is read once, and the training split at most once (a
+    builtin whose fit does not use it never reads it); predictions go to
+    ``out_dir/pred/<split>``.
     `fixed_inference_time_s` substitutes a deterministic stub time for each
     split's measured one. Training runs against the config's budget.
     Returns the rejection reason and None if training was rejected, else

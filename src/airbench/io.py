@@ -17,6 +17,7 @@ writing the same dataset twice yields byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -142,6 +143,11 @@ def _decode(tp, value, path: str):
             return {k: _decode(args[1], v, f"{path}.{k}" if path else k) for k, v in value.items()}
         if origin in (list, tuple) and isinstance(value, list):
             if origin is list or args[1:] == (...,):
+                accepted = _SCALARS.get(args[0])
+                if accepted is not None and all(type(v) in accepted for v in value):
+                    with contextlib.suppress(OverflowError):  # else the per-item path below names the index
+                        items = list(map(args[0], value))
+                        return items if origin is list else tuple(items)
                 args = args[:1] * len(value)
             if len(args) == len(value):
                 items = [_decode(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, value))]
@@ -261,13 +267,15 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> None:
 
 
 def _read_csv(path: Path, header: str) -> np.ndarray:
-    """The rows under `header` as a 2-D float array; a wrong header or a bad row raises FormatError."""
+    """The rows under `header` as a 2-D float array; a wrong header, a bad row or a non-UTF-8 byte raises FormatError."""
     with path.open("r", encoding="utf-8") as fh:
-        found = fh.readline().rstrip("\n")
-        if found != header:
-            raise FormatError(f"{path}:1: bad header {found!r}")
         try:
+            found = fh.readline().rstrip("\n")
+            if found != header:
+                raise FormatError(f"{path}:1: bad header {found!r}")
             return np.loadtxt(fh, delimiter=",", ndmin=2)
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: not UTF-8 ({e.reason})") from None
         except ValueError as e:
             raise FormatError(f"{path}: {e}") from None
 
@@ -319,12 +327,23 @@ def write_predictions(predictions: list[Prediction], pred_dir: str | Path) -> No
         (pred_dir / f"{pred.sample_id}.csv").write_text(text, encoding="utf-8")
 
 
+def check_prediction(sample: Sample, fields: FieldSet) -> None:
+    """Raise AirbenchError naming `sample` unless every channel of `fields` holds one value per node."""
+    for name in FieldSet.CHANNELS:
+        shape = fields.channel(name).shape
+        if len(shape) != 1:
+            raise AirbenchError(f"sample {sample.id!r}: prediction {name} has shape {shape}, expected ({sample.n_nodes},)")
+        if shape[0] != sample.n_nodes:
+            raise AirbenchError(f"sample {sample.id!r}: prediction has {shape[0]} rows, expected {sample.n_nodes}")
+
+
 def read_predictions(pred_dir: str | Path, dataset: Dataset) -> list[Prediction]:
     """Read predictions for every sample of `dataset`, enforcing coverage.
 
-    Missing files raise AirbenchError naming the sample ids; a row-count or
-    column mismatch raises AirbenchError naming the sample. Values are not
-    required to be finite (bad predictions are scored, not rejected).
+    Missing files raise AirbenchError naming the sample ids; a column
+    mismatch, or a shape `check_prediction` refuses, raises AirbenchError
+    naming the sample. Values are not required to be finite (bad predictions
+    are scored, not rejected).
     """
     pred_dir = Path(pred_dir)
     missing = [s.id for s in dataset.samples if not (pred_dir / f"{s.id}.csv").exists()]
@@ -339,16 +358,9 @@ def read_predictions(pred_dir: str | Path, dataset: Dataset) -> list[Prediction]
             data = data.reshape(0, 4)
         if data.shape[1] != 4:
             raise AirbenchError(f"sample {sample.id!r}: expected 4 prediction columns, got {data.shape[1]}")
-        if data.shape[0] != sample.n_nodes:
-            raise AirbenchError(
-                f"sample {sample.id!r}: prediction has {data.shape[0]} rows, expected {sample.n_nodes}"
-            )
-        predictions.append(
-            Prediction(
-                sample_id=sample.id,
-                fields=FieldSet(u_x=data[:, 0], u_y=data[:, 1], p_s=data[:, 2], nu_t=data[:, 3]),
-            )
-        )
+        fields = FieldSet(u_x=data[:, 0], u_y=data[:, 1], p_s=data[:, 2], nu_t=data[:, 3])
+        check_prediction(sample, fields)
+        predictions.append(Prediction(sample_id=sample.id, fields=fields))
     return predictions
 
 

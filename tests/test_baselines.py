@@ -166,9 +166,12 @@ class TestKnn:
 class TestResolveBuiltin:
     def test_names(self, train_ds, test_ds):
         # Each name's fit function predicts as its module functions do, k=7 included.
-        oracle = resolve_builtin("oracle")(train_ds)
-        constant = resolve_builtin("constant")(train_ds)
-        knn7 = resolve_builtin("knn:7")(train_ds)
+        def unused():
+            raise AssertionError("the oracle's fit loads the training split")
+
+        oracle = resolve_builtin("oracle")(unused)
+        constant = resolve_builtin("constant")(lambda: train_ds)
+        knn7 = resolve_builtin("knn:7")(lambda: train_ds)
         stats, model = fit_channel_means(train_ds), knn_fit(train_ds, 7)
         for s in test_ds.samples:
             assert oracle(s) is s.truth_fields

@@ -8,6 +8,7 @@ import json
 import operator
 import os
 import reprlib
+import shlex
 import shutil
 import subprocess
 import sys
@@ -278,6 +279,48 @@ class TestCli:
         n = TINY_CONFIG.n_test + TINY_CONFIG.n_ood
         assert calls == {"oracle_predict": n, "knn_fit": 1, "knn_predict": n}
 
+    def test_a_run_parses_only_what_it_scores(self, bench, tmp_path, monkeypatch, capsys):
+        # A fit reads the training split only if it uses it, builtin predictions are
+        # scored from memory, and an external predictor's files are read back.
+        calls = []
+
+        def counting(name):
+            real = getattr(harness, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+
+            return wrapper
+
+        for name in ("read_dataset", "read_predictions"):
+            monkeypatch.setattr(harness, name, counting(name))
+        external = shlex.join([sys.executable, "-m", "airbench.cli", "predict", "oracle"])
+        for predictor, want in (
+            ("oracle", ["read_dataset"] * 2),
+            ("knn:3", ["read_dataset"] * 3),
+            (external, ["read_dataset", "read_predictions"] * 2),
+        ):
+            calls.clear()
+            assert main(["run", "--predictor", predictor, "--bench", str(bench), "--out", str(tmp_path / "out"),
+                         "--store", str(tmp_path / "lb.jsonl"), "--fixed-time", "1"]) == 0
+            assert calls == want, predictor
+        capsys.readouterr()
+
+    def test_only_a_fit_that_uses_the_training_split_reads_it(self, bench, tmp_path, capsys):
+        copy = tmp_path / "bench"
+        shutil.copytree(bench, copy)
+        sample_csv = copy / "train" / "samples" / "train-0000.csv"
+        sample_csv.write_bytes(b"not a sample\n")
+        common = ["--bench", str(copy), "--store", str(tmp_path / "lb.jsonl"), "--fixed-time", "1", "--no-timestamp"]
+        assert main(["run", "--predictor", "oracle", "--out", str(tmp_path / "oracle"), *common]) == 0
+        (line,) = (tmp_path / "lb.jsonl").read_text().splitlines()
+        assert json.loads(line)["dataset_digests"]["train"] == dataset_digest(copy / "train")
+        assert dataset_digest(copy / "train") != dataset_digest(bench / "train")
+        capsys.readouterr()
+        assert main(["run", "--predictor", "constant", "--out", str(tmp_path / "constant"), *common]) == 2
+        assert capsys.readouterr().err == f"airbench: {sample_csv}:1: bad header 'not a sample'\n"
+
     def test_failing_external_predictor_exit_code(self, tmp_path, capsys):
         gen_cfg = tmp_path / "gen.json"
         gen_cfg.write_text(json.dumps(asdict(TINY_CONFIG)))
@@ -463,6 +506,25 @@ def _not_utf8(tmp):
     return str(path)
 
 
+def _sample_csv_not_utf8(bench, tmp):
+    copy = tmp / "bench"
+    shutil.copytree(bench, copy)
+    path = copy / "test" / "samples" / "test-0000.csv"
+    path.write_bytes(b"\xff" + path.read_bytes())
+    return ["evaluate", "--predictor", "oracle", "--bench", str(copy), "--out", str(tmp / "out")]
+
+
+def _predictions_not_utf8(bench, tmp):
+    """An external predictor that writes, for every sample, a prediction file whose header is not UTF-8."""
+    script = _write(tmp / "predict.py", (
+        "import json, pathlib, sys\n"
+        "for s in json.loads(pathlib.Path(sys.argv[1], 'manifest.json').read_text())['samples']:\n"
+        "    pathlib.Path(sys.argv[2], s['id'] + '.csv').write_bytes(b'\\xffu_x,u_y,p_s,nu_t\\n')\n"
+    ))
+    return ["evaluate", "--predictor", shlex.join([sys.executable, script]), "--bench", str(bench),
+            "--out", str(tmp / "out")]
+
+
 def _generation_config(doc):
     def argv(bench, tmp):
         return ["generate", "--config", _write(tmp / "g.json", json.dumps(doc)), "--out", str(tmp / "g")]
@@ -495,6 +557,8 @@ MALFORMED = {
     "scoring-config-extra-category": _scoring_config_with(
         lambda doc: doc["thresholds"].update(extra=doc["thresholds"]["physics"])),
     "report-not-utf8": lambda bench, tmp: ["report", _not_utf8(tmp)],
+    "sample-csv-not-utf8": _sample_csv_not_utf8,
+    "prediction-csv-not-utf8": _predictions_not_utf8,
     "score-metrics-not-utf8": lambda bench, tmp: ["score", "--metrics", _not_utf8(tmp)],
     "score-metrics-is-a-directory": lambda bench, tmp: ["score", "--metrics", str(tmp)],
     "manifest-csv-is-a-directory": _bench_with("manifest.json", lambda doc: doc["samples"][0].update(csv="samples")),

@@ -7,6 +7,7 @@ import sys
 import time
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 import airbench.harness as harness
@@ -22,7 +23,9 @@ from airbench.harness import (
     run_inference,
     run_training,
 )
-from airbench.io import read_dataset
+from airbench.io import read_dataset, read_predictions
+from airbench.metrics import evaluate_split
+from airbench.model import FieldSet
 from airbench.scoring import default_scoring_config, score_from_values
 from airbench.synthflow import generate_benchmark
 
@@ -136,7 +139,7 @@ class TestRunInference:
 
     def test_deterministic_prediction_bytes(self, small_bench, tmp_path):
         spec = _builtin_spec("constant")
-        predict = resolve_builtin("constant")(read_dataset(small_bench / "train"))
+        predict = resolve_builtin("constant")(lambda: read_dataset(small_bench / "train"))
         dataset = read_dataset(small_bench / "test")
         run_inference(spec, small_bench / "test", dataset, tmp_path / "p1", predict=predict)
         run_inference(spec, small_bench / "test", dataset, tmp_path / "p2", predict=predict)
@@ -147,8 +150,8 @@ class TestRunInference:
             assert f1.read_bytes() == f2.read_bytes()
 
     def test_timer_excludes_verification(self, small_bench, tmp_path, monkeypatch):
-        # The injected clock counts calls; verification must happen after the
-        # second (final) clock read of the timed window.
+        # The injected clock counts its reads; the shape checks and the write
+        # must come after the second (final) clock read of the timed window.
         calls = []
 
         def fake_clock():
@@ -156,13 +159,18 @@ class TestRunInference:
             return float(len(calls))
 
         seen_at = []
-        real_read = harness.read_predictions
 
-        def spy_read(pred_dir, dataset):
-            seen_at.append(len(calls))
-            return real_read(pred_dir, dataset)
+        def spy(name):
+            real = getattr(harness, name)
 
-        monkeypatch.setattr(harness, "read_predictions", spy_read)
+            def wrapper(*args):
+                seen_at.append((name, len(calls)))
+                return real(*args)
+
+            return wrapper
+
+        for name in ("check_prediction", "write_predictions"):
+            monkeypatch.setattr(harness, name, spy(name))
         elapsed, _ = harness.run_inference(
             _builtin_spec("oracle"),
             small_bench / "test",
@@ -171,8 +179,31 @@ class TestRunInference:
             predict=oracle_predict,
             clock=fake_clock,
         )
-        assert seen_at == [2]  # both timer reads happened before verification
+        # Both timer reads happened before every check and the write.
+        assert seen_at == [("check_prediction", 2)] * TINY_CONFIG.n_test + [("write_predictions", 2)]
         assert elapsed == 1.0
+
+    @pytest.mark.parametrize("name", ["oracle", "constant", "knn:3"])
+    def test_builtin_predictions_score_as_their_files(self, small_bench, tmp_path, name):
+        # The predictions a builtin returns from memory give the metrics that its written files give.
+        predict = resolve_builtin(name)(lambda: read_dataset(small_bench / "train"))
+        criteria = default_scoring_config().field_criteria
+        for split in harness.SCORED_SPLITS:
+            dataset = read_dataset(small_bench / split)
+            _, preds = run_inference(_builtin_spec(name), small_bench / split, dataset, tmp_path / split, predict=predict)
+            from_files = read_predictions(tmp_path / split, dataset)
+            assert preds == from_files
+            assert evaluate_split(dataset, preds, criteria) == evaluate_split(dataset, from_files, criteria)
+
+    def test_wrong_shape_from_a_builtin_is_refused_before_writing(self, small_bench, tmp_path):
+        dataset = read_dataset(small_bench / "test")
+
+        def short(sample):
+            return FieldSet(*(np.zeros(sample.n_nodes - 1) for _ in FieldSet.CHANNELS))
+
+        with pytest.raises(AirbenchError, match=f"sample '{dataset.samples[0].id}': prediction has .* rows"):
+            run_inference(_builtin_spec("oracle"), small_bench / "test", dataset, tmp_path / "pred", predict=short)
+        assert list((tmp_path / "pred").iterdir()) == []
 
     def test_background_child_neither_holds_nor_outlives_inference(self, small_bench, tmp_path):
         # The predictor writes its predictions and exits, leaving a child that
