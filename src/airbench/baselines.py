@@ -26,6 +26,7 @@ if TYPE_CHECKING:
 _FEATURES = 5  # x, y, distance-to-surface, inlet ux, inlet uy
 
 Predict = Callable[[Sample], FieldSet]
+Fit = Callable[[Callable[[], Dataset]], Predict]  # takes a loader of the training split
 
 
 def oracle_predict(sample: Sample) -> FieldSet:
@@ -35,8 +36,6 @@ def oracle_predict(sample: Sample) -> FieldSet:
 
 def fit_channel_means(train: Dataset) -> dict[str, float]:
     """Per-channel means pooled over every node of the training split."""
-    if not train.samples:
-        raise AirbenchError("cannot fit on an empty training split")
     out = {}
     for ch in FieldSet.CHANNELS:
         pooled = np.concatenate([s.truth_fields.channel(ch) for s in train.samples])
@@ -81,12 +80,9 @@ def knn_fit(train: Dataset, k: int) -> KnnModel:
 
     Features are normalized by their per-feature standard deviation over the
     training pool so positions and velocities contribute on equal footing.
+    `k` is at least 1, as `resolve_builtin` requires.
     """
     from scipy.spatial import cKDTree  # here, so only a k-NN fit loads SciPy
-    if k < 1:
-        raise AirbenchError(f"k must be >= 1, got {k}")
-    if not train.samples:
-        raise AirbenchError("cannot fit on an empty training split")
     feats = np.vstack([_node_features(s) for s in train.samples])
     outs = np.vstack(
         [
@@ -167,8 +163,8 @@ def is_builtin(name: str) -> bool:
     return name in ("oracle", "constant") or name.startswith("knn:")
 
 
-def resolve_builtin(name: str) -> Callable[[Callable[[], Dataset]], Predict]:
-    """Map a builtin predictor name to its fit function.
+def resolve_builtin(name: str) -> Fit:
+    """Map a builtin predictor name to its fit function; refuse an unknown name or a k below 1.
 
     The fit function takes a zero-argument loader of the training split and
     returns the per-sample predict function; only a fit that uses the split
@@ -184,5 +180,7 @@ def resolve_builtin(name: str) -> Callable[[Callable[[], Dataset]], Predict]:
             k = int(name.split(":", 1)[1])
         except ValueError:
             raise AirbenchError(f"bad knn predictor name {name!r}, expected knn:<k>") from None
+        if k < 1:
+            raise AirbenchError(f"k must be >= 1, got {k}")
         return lambda load_train: partial(knn_predict, knn_fit(load_train(), k))
     raise AirbenchError(f"unknown builtin predictor {name!r}")

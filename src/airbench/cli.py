@@ -6,7 +6,8 @@ into a score report, ``run`` is ``evaluate`` + ``score`` + a leaderboard
 append, ``leaderboard`` lists recorded entries, ``report`` renders a stored
 score report, ``predict`` runs a builtin predictor as an external one would
 run (the file protocol's self-test). Exit codes: 0 success, 2 validation
-error, 3 predictor failure, 4 rejection.
+error or an output path that cannot be written, 3 predictor failure, 4
+rejection.
 """
 
 from __future__ import annotations
@@ -17,27 +18,22 @@ import shlex
 import sys
 from pathlib import Path
 
-from .baselines import is_builtin, resolve_builtin
-from .errors import AirbenchError, InferenceError, TrainingError
+from .baselines import is_builtin
+from .errors import AirbenchError, FormatError, InferenceError, TrainingError
 from .harness import (
     STORE_ENV_VAR,
     PredictorSpec,
     evaluate_benchmark,
     leaderboard_list,
-    read_metrics,
-    read_score_report,
     render_report,
     resolve_store_path,
     run_benchmark,
     run_inference,
     score_metrics,
-    write_metrics,
-    write_score_report,
 )
-from .io import dataset_digest, decode, read_dataset, read_json
+from .io import RunMetrics, dataset_digest, decode, read_dataset, read_json, write_json
 from .metrics import evaluate_split  # unused here; perfbench/layers.py patches this name
-from .model import Dataset, Split
-from .scoring import ScoringConfig, default_scoring_config
+from .scoring import ScoreReport, ScoringConfig, default_scoring_config
 from .scoring import score_from_values  # unused here; perfbench/layers.py patches this name
 from .synthflow import GenerationConfig, generate_benchmark
 
@@ -84,15 +80,16 @@ def _cmd_evaluate(args) -> int:
     if rejection is not None:
         print(f"rejected: {rejection}", file=sys.stderr)
         return EXIT_REJECTED
-    write_metrics(metrics, out / "metrics.json")
+    write_json(out / "metrics.json", dataclasses.asdict(metrics))
     print(f"wrote {out / 'metrics.json'}")
     return EXIT_OK
 
 
 def _cmd_score(args) -> int:
-    report = score_metrics(read_metrics(args.metrics), _scoring_config(args.config))
+    metrics = decode(RunMetrics, read_json(args.metrics), args.metrics)
+    report = score_metrics(metrics, _scoring_config(args.config))
     if args.out:
-        write_score_report(report, args.out)
+        write_json(args.out, dataclasses.asdict(report))
     print(render_report(report), end="")
     return EXIT_OK
 
@@ -114,12 +111,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    fit = resolve_builtin(args.name)
-    predict = fit(lambda: read_dataset(args.train) if args.train is not None else Dataset(split=Split.TRAIN))
-    run_inference(
-        PredictorSpec(label=args.name, builtin=args.name),
-        args.dataset_dir, read_dataset(args.dataset_dir), args.pred_dir, predict=predict,
-    )
+    spec = PredictorSpec(label=args.name, builtin=args.name)
+    if args.train is not None and not (Path(args.train) / "manifest.json").exists():
+        raise FormatError(f"training split directory has no manifest.json: {args.train}")
+
+    def load_train():
+        if args.train is None:
+            raise AirbenchError(f"{args.name} needs --train")
+        return read_dataset(args.train)
+
+    predict = spec.fit(load_train)
+    run_inference(spec, args.dataset_dir, read_dataset(args.dataset_dir), args.pred_dir, predict=predict)
     return EXIT_OK
 
 
@@ -139,7 +141,8 @@ def _cmd_leaderboard(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    print(render_report(read_score_report(args.score_report), label=args.label), end="")
+    report = decode(ScoreReport, read_json(args.score_report), args.score_report)
+    print(render_report(report, label=args.label), end="")
     return EXIT_OK
 
 
@@ -203,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="builtin predictor name (oracle, constant, knn:<k>)")
     p.add_argument("dataset_dir", help="dataset directory to predict")
     p.add_argument("pred_dir", help="directory for one prediction CSV per sample")
-    p.add_argument("--train", default=None, help="training split directory, if the predictor needs one")
+    p.add_argument("--train", default=None, help="training split directory (constant and knn:<k> need one)")
     p.set_defaults(func=_cmd_predict)
     return parser
 
@@ -215,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TrainingError, InferenceError) as e:
         print(f"airbench: predictor failure: {e}", file=sys.stderr)
         return EXIT_PREDICTOR
-    except (AirbenchError, FileNotFoundError) as e:
+    except (AirbenchError, OSError) as e:
         print(f"airbench: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

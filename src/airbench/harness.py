@@ -24,11 +24,11 @@ import signal
 import subprocess
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .baselines import Predict, resolve_builtin
+from .baselines import Fit, Predict, resolve_builtin
 from .errors import AirbenchError, FormatError, InferenceError, TrainingError
 from .io import (
     RunMetrics,
@@ -36,7 +36,6 @@ from .io import (
     dataset_digest,
     decode,
     read_dataset,
-    read_json,
     read_predictions,
     write_json,
     write_predictions,
@@ -68,7 +67,8 @@ class PredictorSpec:
     the wall-clock training budget; builtins train in-process (their fit,
     with its read of the training split, is measured against the same budget
     after the fact), so they take neither a training command nor a working
-    directory.
+    directory. A builtin's name is resolved to its `fit` here, so a bad name
+    is refused before any work.
     """
 
     label: str
@@ -76,6 +76,7 @@ class PredictorSpec:
     command: list[str] | None = None
     working_dir: str | None = None
     training_command: list[str] | None = None
+    fit: Fit | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.builtin is None) == (self.command is None):
@@ -84,8 +85,10 @@ class PredictorSpec:
             raise AirbenchError("external predictor command is empty")
         if self.training_command is not None and len(self.training_command) == 0:
             raise AirbenchError("training command is empty")
-        if self.builtin is not None and (self.working_dir is not None or self.training_command is not None):
-            raise AirbenchError(f"builtin predictor {self.builtin!r} takes no working directory or training command")
+        if self.builtin is not None:
+            if self.working_dir is not None or self.training_command is not None:
+                raise AirbenchError(f"builtin predictor {self.builtin!r} takes no working directory or training command")
+            self.fit = resolve_builtin(self.builtin)
 
 
 def _run_command(argv: list[str], cwd: str | None, timeout: float | None = None) -> tuple[int | None, str]:
@@ -139,9 +142,8 @@ def run_training(
             raise TrainingError(f"training command exited with status {status}: {stderr}")
         return None, None
 
-    fit = resolve_builtin(spec.builtin)
     t0 = clock()
-    predict = fit(lambda: read_dataset(train_dir))
+    predict = spec.fit(lambda: read_dataset(train_dir))
     return predict, (overrun if clock() - t0 > budget_s else None)
 
 
@@ -248,26 +250,6 @@ def _timestamp(include: bool) -> str:
     if not include:
         return ""
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def write_metrics(metrics: RunMetrics, path: str | Path) -> None:
-    """Write ``metrics.json``: the raw metrics of each scored split."""
-    write_json(path, asdict(metrics))
-
-
-def read_metrics(path: str | Path) -> RunMetrics:
-    """Read the test and OOD metrics back from a ``metrics.json``."""
-    return decode(RunMetrics, read_json(path), path)
-
-
-def write_score_report(report: ScoreReport, path: str | Path) -> None:
-    """Write ``score_report.json``, the machine form of a score report."""
-    write_json(path, asdict(report))
-
-
-def read_score_report(path: str | Path) -> ScoreReport:
-    """Read a ``score_report.json`` back."""
-    return decode(ScoreReport, read_json(path), path)
 
 
 def _check_inputs(bench_dir: Path, fixed_inference_time_s: float | None) -> None:
@@ -381,7 +363,7 @@ def run_benchmark(
             report = rejected_report(rejection)
         else:
             report = score_metrics(metrics, config)
-            write_metrics(metrics, out_dir / "metrics.json")
+            write_json(out_dir / "metrics.json", asdict(metrics))
         entry = LeaderboardEntry(
             label=spec.label,
             timestamp=_timestamp(include_timestamp),
@@ -399,7 +381,7 @@ def run_benchmark(
             rejection_reason=report.rejection_reason,
             timing="external-process" if spec.command else "builtin-loop",
         )
-        write_score_report(report, out_dir / "score_report.json")
+        write_json(out_dir / "score_report.json", asdict(report))
         (out_dir / "report.txt").write_text(render_report(report, label=spec.label), encoding="utf-8")
         if store_path is not None:
             append_leaderboard_entry(store_path, entry)

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AirbenchError, FormatError
-from .metrics import SplitMetrics
+from .metrics import ML_CRITERIA, SplitMetrics
 from .model import (
     Dataset,
     FieldSet,
@@ -220,10 +220,16 @@ class SampleSidecar:
 
 @dataclass
 class RunMetrics:
-    """``metrics.json``: the raw metrics of the two scored splits."""
+    """``metrics.json``: the raw metrics of the two scored splits, each with a field error per ML criterion."""
 
     test: SplitMetrics
     ood: SplitMetrics
+
+    def __post_init__(self):
+        for split in ("test", "ood"):
+            names = sorted(getattr(self, split).field_errors)
+            if names != sorted(ML_CRITERIA):
+                raise FormatError(f"{split}.field_errors: expected the keys {sorted(ML_CRITERIA)}, got {names}")
 
 
 def _sample_csv_text(sample: Sample) -> str:

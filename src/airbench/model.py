@@ -27,6 +27,7 @@ class Split(str, Enum):  # a str, so that JSON writes a split as its value
 # Tolerances used by the data invariants.
 UNIT_NORMAL_TOL = 1e-9
 SURFACE_DISTANCE_TOL = 1e-12
+MIN_CONTOUR_NODES = 8  # the fewest surface nodes the force integral accepts
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -307,11 +308,10 @@ def validate_sample(sample: Sample) -> list[str]:
         v.append(f"surface_order: expected 1-D index list, got shape {order.shape}")
     elif not np.array_equal(np.sort(order), surf_idx):
         v.append("surface_order: does not list each surface node exactly once")
-    elif len(order) >= 3:
-        if not polygon_is_simple(sample.positions[order]):
-            v.append("surface_order: contour is not a simple closed polygon")
-    elif len(order) > 0:
-        v.append(f"surface_order: contour needs at least 3 nodes, got {len(order)}")
+    elif len(order) < MIN_CONTOUR_NODES:
+        v.append(f"surface_order: contour needs at least {MIN_CONTOUR_NODES} nodes, got {len(order)}")
+    elif not polygon_is_simple(sample.positions[order]):
+        v.append("surface_order: contour is not a simple closed polygon")
 
     if not (np.isfinite(sample.meta.solver_time_s) and sample.meta.solver_time_s > 0):
         v.append(f"meta.solver_time_s: must be positive, got {sample.meta.solver_time_s}")

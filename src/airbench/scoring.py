@@ -24,9 +24,8 @@ from typing import Mapping
 
 from .errors import AirbenchError
 from .io import decode, json_digest, read_json
-from .metrics import FieldCriterion, SplitMetrics
+from .metrics import ML_CRITERIA, FieldCriterion, SplitMetrics
 
-ML_CRITERIA = ("u_x", "u_y", "p", "nu_t", "p_s")
 PHYSICS_CRITERIA = ("C_D", "C_L", "rho_D", "rho_L")
 OOD_CRITERIA = ML_CRITERIA + PHYSICS_CRITERIA
 # Each category's criteria in report order; the scoring config holds one threshold table per category.
@@ -86,12 +85,8 @@ def classify(value: float, spec: ThresholdSpec) -> Classification:
 
 
 def accuracy_score(n_great: int, n_acceptable: int, n_unacceptable: int) -> float:
-    """Points fraction (2*Ng + 1*No + 0*Nr) / (2*N)."""
-    if min(n_great, n_acceptable, n_unacceptable) < 0:
-        raise AirbenchError("criterion counts must be non-negative")
+    """Points fraction (2*Ng + 1*No + 0*Nr) / (2*N) of a non-empty criterion set."""
     n = n_great + n_acceptable + n_unacceptable
-    if n == 0:
-        raise AirbenchError("empty criterion set")
     return (2 * n_great + n_acceptable) / (2 * n)
 
 
@@ -110,13 +105,10 @@ def compute_speedup(solver_time_s: float, inference_time_s: float) -> float:
 def speed_score(speedup: float, speedup_max: float) -> float:
     """log10(speedup) / log10(speedup_max), clamped to [0, 1].
 
-    There is no reward beyond `speedup_max`, and a slowdown (speedup < 1)
-    scores 0 rather than going negative.
+    `speedup` comes from `compute_speedup` and `speedup_max` from a
+    `ScoringConfig`. There is no reward beyond `speedup_max`, and a slowdown
+    (speedup < 1) scores 0 rather than going negative.
     """
-    if not (speedup > 0 and math.isfinite(speedup)):
-        raise AirbenchError(f"speedup must be positive, got {speedup}")
-    if not (speedup_max > 1 and math.isfinite(speedup_max)):
-        raise AirbenchError(f"speedup_max must be > 1, got {speedup_max}")
     if speedup < 1.0:
         return 0.0
     return min(math.log10(speedup) / math.log10(speedup_max), 1.0)
@@ -124,8 +116,6 @@ def speed_score(speedup: float, speedup_max: float) -> float:
 
 def category_score(accuracy: float, speed: float, alpha_a: float, alpha_s: float) -> float:
     """Weighted blend alpha_a * accuracy + alpha_s * speed, exactly rounded."""
-    if abs(alpha_a + alpha_s - 1.0) > 1e-12:
-        raise AirbenchError(f"accuracy/speed weights must sum to 1, got {alpha_a} + {alpha_s}")
     return float(Fraction(alpha_a) * Fraction(accuracy) + Fraction(alpha_s) * Fraction(speed))
 
 
@@ -187,12 +177,15 @@ class ScoringConfig:
     field_criteria: tuple[FieldCriterion, ...]
 
     def __post_init__(self):
+        for name in ("alpha_ml", "alpha_ood", "alpha_ph", "alpha_a", "alpha_s"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise AirbenchError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         if abs(self.alpha_ml + self.alpha_ood + self.alpha_ph - 1.0) > 1e-12:
             raise AirbenchError("category weights must sum to 1")
         if abs(self.alpha_a + self.alpha_s - 1.0) > 1e-12:
             raise AirbenchError("accuracy/speed weights must sum to 1")
-        if not self.speedup_max > 1:
-            raise AirbenchError(f"speedup_max must be > 1, got {self.speedup_max}")
+        if not (self.speedup_max > 1 and math.isfinite(self.speedup_max)):
+            raise AirbenchError(f"speedup_max must be > 1 and finite, got {self.speedup_max}")
         if not self.training_budget_s > 0:
             raise AirbenchError("training_budget_s must be positive")
         if set(self.thresholds) != set(CATEGORIES):
@@ -224,15 +217,15 @@ def build_category(
 ) -> CategoryResult:
     """Classify one category's raw values in its criterion order, then score them.
 
-    Accuracy is the points fraction of the classes. With a speed-up, the
-    category score blends accuracy and speed by the configured weights;
-    without one (the physics category) it is the accuracy fraction alone.
+    `values` holds a value for each of the category's criteria, as the
+    values of a decoded `RunMetrics` do. Accuracy is the points fraction of
+    the classes. With a speed-up, the category score blends accuracy and
+    speed by the configured weights; without one (the physics category) it
+    is the accuracy fraction alone.
     """
     thresholds = config.thresholds[name]
     criteria = []
     for criterion in CATEGORIES[name]:
-        if criterion not in values:
-            raise AirbenchError(f"missing criterion value {criterion!r}")
         v = float(values[criterion])
         criteria.append(CriterionResult(
             name=criterion, value=v, classification=classify(v, thresholds[criterion]),
@@ -250,9 +243,6 @@ def build_category(
 
 def combine_global(score_ml: float, score_ood: float, score_physics: float, config: ScoringConfig) -> float:
     """Weighted sum of the three category scores, exactly rounded."""
-    for s in (score_ml, score_ood, score_physics):
-        if not (0.0 <= s <= 1.0):
-            raise AirbenchError(f"category scores must lie in [0, 1], got {s}")
     return float(
         Fraction(config.alpha_ml) * Fraction(score_ml)
         + Fraction(config.alpha_ood) * Fraction(score_ood)

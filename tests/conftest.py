@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from airbench.model import Split
+from airbench.model import FieldSet, Sample, Split
 from airbench.synthflow import (
     GenerationConfig,
     JoukowskiParams,
@@ -55,6 +55,26 @@ def toy_bench_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("toy-bench")
     generate_benchmark(TOY_CONFIG, out)
     return out
+
+
+def with_contour_nodes(sample: Sample, k: int) -> Sample:
+    """A generated `sample` with only its first `k` surface nodes; its other surface nodes are dropped.
+
+    A generated sample lists its surface nodes first, in contour order, so the
+    result is consistent in every respect but the contour's length.
+    """
+    keep = np.r_[0:k, len(sample.surface_order):sample.n_nodes]
+    return Sample(
+        id=sample.id,
+        positions=sample.positions[keep],
+        inlet_velocity=sample.inlet_velocity,
+        distance=sample.distance[keep],
+        normals=sample.normals[keep],
+        is_surface=sample.is_surface[keep],
+        surface_order=np.arange(k),
+        truth_fields=FieldSet(*(sample.truth_fields.channel(c)[keep] for c in FieldSet.CHANNELS)),
+        meta=sample.meta,
+    )
 
 
 def rng(seed: int = 0) -> np.random.Generator:

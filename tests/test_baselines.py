@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -17,7 +19,8 @@ from airbench.baselines import (
     oracle_predict,
     resolve_builtin,
 )
-from airbench.errors import AirbenchError
+from airbench.errors import AirbenchError, FormatError
+from airbench.io import Manifest, read_dataset, write_json
 from airbench.metrics import evaluate_split, field_error, force_coefficients
 from airbench.model import Dataset, Prediction, Split
 from airbench.scoring import default_scoring_config
@@ -40,6 +43,13 @@ def _varied_dataset(split: Split, n: int, nodes: int = 96, seed: int = 100) -> D
             sample_point_cloud(params, nodes, seed=seed + i, sample_id=f"{split.value}-{i:02d}")
         )
     return Dataset(split=split, samples=samples)
+
+
+def _fit_on_an_empty_split(name: str, directory) -> None:
+    """Fit builtin `name` through a loader of a split directory whose manifest lists no samples."""
+    directory.mkdir()
+    write_json(directory / "manifest.json", asdict(Manifest(split=Split.TRAIN, generation_config_digest="", samples=[])))
+    resolve_builtin(name)(lambda: read_dataset(directory))
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +107,10 @@ class TestConstant:
         m = evaluate_split(test_ds, preds, CRITERIA)
         assert m.spearman_l == 0.0 and m.spearman_l_degenerate
 
-    def test_empty_split_rejected(self):
-        with pytest.raises(AirbenchError, match="cannot fit on an empty training split"):
-            fit_channel_means(Dataset(split=Split.TRAIN, samples=[]))
+    def test_empty_split_rejected(self, tmp_path):
+        # The fit reads the split through its loader, and read_dataset refuses a split without samples.
+        with pytest.raises(FormatError, match="dataset: no samples"):
+            _fit_on_an_empty_split("constant", tmp_path / "train")
 
 
 class TestKnn:
@@ -127,13 +138,14 @@ class TestKnn:
         model = knn_fit(train_ds, k=10**9)
         assert model.k == sum(s.n_nodes for s in train_ds.samples)
 
-    def test_bad_k(self, train_ds):
-        with pytest.raises(AirbenchError, match="k must be >= 1"):
-            knn_fit(train_ds, k=0)
+    def test_bad_k(self):
+        # k is checked where the predictor name is parsed, before any fit.
+        with pytest.raises(AirbenchError, match="k must be >= 1, got 0"):
+            resolve_builtin("knn:0")
 
-    def test_empty_split_rejected(self):
-        with pytest.raises(AirbenchError, match="cannot fit on an empty training split"):
-            knn_fit(Dataset(split=Split.TRAIN, samples=[]), k=1)
+    def test_empty_split_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match="dataset: no samples"):
+            _fit_on_an_empty_split("knn:1", tmp_path / "train")
 
     @pytest.mark.parametrize("k", [1, 5, 70])
     def test_neighbors_equal_one_tree_over_the_pool(self, test_ds, k):

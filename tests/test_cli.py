@@ -307,6 +307,22 @@ class TestCli:
             assert calls == want, predictor
         capsys.readouterr()
 
+    @pytest.mark.parametrize("predictor, message", [
+        ("knn:0", "k must be >= 1, got 0"),
+        ("knn:x", "bad knn predictor name 'knn:x', expected knn:<k>"),
+    ])
+    def test_a_bad_builtin_name_is_refused_before_any_digest_or_read(
+        self, bench, tmp_path, monkeypatch, capsys, predictor, message,
+    ):
+        calls = []
+        for name in ("dataset_digest", "read_dataset"):
+            monkeypatch.setattr(harness, name, lambda *args, name=name: calls.append(name))
+        rc = main(["run", "--predictor", predictor, "--bench", str(bench), "--out", str(tmp_path / "out"),
+                   "--store", str(tmp_path / "lb.jsonl")])
+        assert (rc, calls) == (2, [])
+        assert capsys.readouterr().err == f"airbench: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_only_a_fit_that_uses_the_training_split_reads_it(self, bench, tmp_path, capsys):
         copy = tmp_path / "bench"
         shutil.copytree(bench, copy)
@@ -418,13 +434,20 @@ class TestPredict:
     @pytest.mark.parametrize("name, split, message", [
         ("knn:x", "test", "bad knn predictor name"),
         ("oracle", "missing", "missing file"),
-        ("constant", "test", "cannot fit on an empty training split"),
-        ("knn:3", "test", "cannot fit on an empty training split"),
+        ("constant", "test", "constant needs --train"),
+        ("knn:3", "test", "knn:3 needs --train"),
     ])
     def test_failure_is_validation_error(self, bench, tmp_path, name, split, message):
         proc = _python("-m", "airbench.cli", "predict", name, str(bench / split), str(tmp_path / "pred"))
         assert proc.returncode == 2
         assert proc.stderr.startswith("airbench: ") and message in proc.stderr
+
+    def test_train_without_manifest_is_refused_before_work(self, bench, tmp_path, capsys):
+        # The oracle never reads its training split, so a mistyped --train is caught here or not at all.
+        rc = main(["predict", "oracle", str(bench / "test"), str(tmp_path / "pred"), "--train", str(tmp_path / "nowhere")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"airbench: training split directory has no manifest.json: {tmp_path / 'nowhere'}\n"
+        assert not (tmp_path / "pred").exists()
 
 
 def _write(path, text):
@@ -525,6 +548,11 @@ def _predictions_not_utf8(bench, tmp):
             "--out", str(tmp / "out")]
 
 
+def _file(tmp):
+    """A regular file, to give where a directory or a file's parent directory is expected."""
+    return _write(tmp / "file", "not a directory\n")
+
+
 def _generation_config(doc):
     def argv(bench, tmp):
         return ["generate", "--config", _write(tmp / "g.json", json.dumps(doc)), "--out", str(tmp / "g")]
@@ -575,6 +603,17 @@ MALFORMED = {
     "run-fixed-time-not-a-number": lambda bench, tmp: [
         "run", "--predictor", "oracle", "--bench", str(bench), "--out", str(tmp / "out"),
         "--store", str(tmp / "lb.jsonl"), "--fixed-time", "abc"],
+    "generate-out-is-a-file": lambda bench, tmp: ["generate", "--out", _file(tmp)],
+    "evaluate-out-is-a-file": lambda bench, tmp: [
+        "evaluate", "--predictor", "oracle", "--bench", str(bench), "--out", _file(tmp)],
+    "run-out-is-a-file": lambda bench, tmp: [
+        "run", "--predictor", "oracle", "--bench", str(bench), "--out", _file(tmp), "--store", str(tmp / "lb.jsonl")],
+    "run-store-under-a-file": lambda bench, tmp: [
+        "run", "--predictor", "oracle", "--bench", str(bench), "--out", str(tmp / "out"),
+        "--store", str(Path(_file(tmp)) / "lb.jsonl"), "--fixed-time", "1"],
+    "score-out-under-a-file": lambda bench, tmp: [
+        *_metrics_with(lambda doc: None)(bench, tmp), "--out", str(Path(_file(tmp)) / "x.json")],
+    "predict-pred-dir-is-a-file": lambda bench, tmp: ["predict", "oracle", str(bench / "test"), _file(tmp)],
 }
 
 
@@ -593,6 +632,18 @@ def test_unknown_flag_is_named_and_help_exits_zero(bench, tmp_path, capsys):
         main(["run", "--help"])
     assert exit_info.value.code == 0
     assert "--fixed-time" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit, got", [
+    (lambda errors: errors.update(rho=0.1), "'nu_t', 'p', 'p_s', 'rho', 'u_x', 'u_y'"),
+    (lambda errors: errors.pop("p_s"), "'nu_t', 'p', 'u_x', 'u_y'"),
+], ids=["extra", "missing"])
+def test_score_refuses_field_errors_other_than_the_ml_criteria(tmp_path, capsys, edit, got):
+    argv = _metrics_with(lambda doc: edit(doc["test"]["field_errors"]))(None, tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"airbench: {tmp_path / 'm.json'}: test.field_errors: expected the keys {sorted(ML_CRITERIA)}, got [{got}]\n"
+    )
 
 
 def test_valid_metrics_and_report_docs_are_accepted(tmp_path, capsys):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import airbench
+from airbench import io
 from airbench.errors import AirbenchError, FormatError
 from airbench.harness import LeaderboardEntry
 from airbench.io import (
@@ -40,7 +41,7 @@ from airbench.scoring import (
 )
 from airbench.synthflow import GenerationConfig, generate_split
 
-from conftest import TINY_CONFIG
+from conftest import TINY_CONFIG, with_contour_nodes
 
 # Digest of the canonical serialization of the default-counts train split at
 # reduced resolution. The generator's arithmetic does not depend on numpy's
@@ -240,6 +241,18 @@ def test_crossed_contour_rejected_on_read(tmp_path, tiny_train):
         read_dataset(tmp_path / "d")
 
 
+@pytest.mark.parametrize("k", [0, 3, 7])
+def test_short_contour_rejected_on_read(tmp_path, tiny_train, monkeypatch, k):
+    # Force integration needs 8 contour nodes; a sample with fewer is refused where it enters.
+    short = with_contour_nodes(tiny_train.samples[1], k)
+    monkeypatch.setattr(io, "validate_dataset", lambda dataset: [])  # write it as another tool might
+    write_dataset(replace(tiny_train, samples=[tiny_train.samples[0], short]), tmp_path / "d")
+    monkeypatch.undo()
+    with pytest.raises(FormatError) as refused:
+        read_dataset(tmp_path / "d")
+    assert str(refused.value) == f"{tmp_path / 'd'}: sample {short.id!r}: surface_order: contour needs at least 8 nodes, got {k}"
+
+
 @pytest.mark.parametrize("key, where", [("csv", "absolute"), ("meta", "parent"), ("csv", "missing")])
 def test_manifest_paths_must_stay_inside_the_dataset(tmp_path, tiny_train, key, where):
     # The escaping paths name real copies of the sample's files, so only the
@@ -329,7 +342,7 @@ def _nan_report():
 
 def _split_metrics():
     return SplitMetrics(
-        field_errors={"p_s": 2.5e-7, "u_x": 1 / 3}, c_d_rel_err=12.75, c_l_rel_err=0.1,
+        field_errors={"nu_t": 0.5, "p": 4.25, "p_s": 2.5e-7, "u_x": 1 / 3, "u_y": 0.0}, c_d_rel_err=12.75, c_l_rel_err=0.1,
         spearman_d=-0.25, spearman_l=1.0, spearman_d_degenerate=True, spearman_l_degenerate=False,
         total_inference_time_s=0.003, total_solver_time_s=4500.0,
     )

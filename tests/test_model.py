@@ -25,23 +25,35 @@ from conftest import CAMBERED
 
 
 def make_square_sample(**overrides) -> Sample:
-    """A minimal hand-built sample: 4 surface nodes on a unit square + 2 field nodes."""
+    """A minimal hand-built sample: 8 surface nodes + 2 field nodes (indices 8, 9).
+
+    The contour runs CCW through the unit square's corners and its edge
+    midpoints pushed 0.1 outward, so no three of its nodes are collinear.
+    """
     s = 2.0 ** -0.5
     fields = dict(
         id="sq",
-        positions=np.array([[0, 0], [1, 0], [1, 1], [0, 1], [3.0, 0.5], [4.0, 2.0]]),
+        positions=np.array([[0, 0], [0.5, -0.1], [1, 0], [1.1, 0.5], [1, 1], [0.5, 1.1], [0, 1], [-0.1, 0.5],
+                            [3.0, 0.5], [4.0, 2.0]]),
         inlet_velocity=np.array([1.0, 0.0]),
-        distance=np.array([0.0, 0.0, 0.0, 0.0, 2.0, 3.16]),
-        normals=np.array([[-s, -s], [s, -s], [s, s], [-s, s], [0, 0], [0, 0]]),
-        is_surface=np.array([True, True, True, True, False, False]),
-        surface_order=np.array([0, 1, 2, 3]),
+        distance=np.array([0.0] * 8 + [1.9, 3.16]),
+        normals=np.array([[-s, -s], [0, -1], [s, -s], [1, 0], [s, s], [0, 1], [-s, s], [-1, 0], [0, 0], [0, 0]]),
+        is_surface=np.arange(10) < 8,
+        surface_order=np.arange(8),
         truth_fields=FieldSet(
-            u_x=np.ones(6), u_y=np.zeros(6), p_s=np.zeros(6), nu_t=np.zeros(6)
+            u_x=np.ones(10), u_y=np.zeros(10), p_s=np.zeros(10), nu_t=np.zeros(10)
         ),
         meta=SampleMeta(alpha_rad=0.0, u_inf=1.0, chord=1.0, rho=1.0, solver_time_s=10.0),
     )
     fields.update(overrides)
     return Sample(**fields)
+
+
+def edited(array: np.ndarray, index: int, value) -> np.ndarray:
+    """A copy of `array` with one entry replaced."""
+    out = array.copy()
+    out[index] = value
+    return out
 
 
 class TestValidateSample:
@@ -53,52 +65,47 @@ class TestValidateSample:
         assert validate_sample(make_square_sample()) == []
 
     def test_non_unit_normal_named(self):
-        s = make_square_sample(
-            normals=np.array([[0.6, 0.6], [1, 0], [0, 1], [-1, 0], [0, 0], [0, 0]])
-        )
+        s = make_square_sample(normals=edited(make_square_sample().normals, 0, [0.6, 0.6]))
         msgs = validate_sample(s)
         assert any(m.startswith("normals: not unit norm at index 0") for m in msgs)
 
     def test_negative_nu_t_named(self):
-        bad = FieldSet(u_x=np.ones(6), u_y=np.zeros(6), p_s=np.zeros(6),
-                       nu_t=np.array([0, 0, 0, 0, -1.0, 0]))
+        truth = make_square_sample().truth_fields
+        bad = replace(truth, nu_t=edited(truth.nu_t, 8, -1.0))
         msgs = validate_sample(make_square_sample(truth_fields=bad))
         assert any("nu_t: negative value" in m for m in msgs)
 
     def test_nan_field_named(self):
-        bad = FieldSet(u_x=np.array([1, 1, np.nan, 1, 1, 1.0]), u_y=np.zeros(6),
-                       p_s=np.zeros(6), nu_t=np.zeros(6))
+        truth = make_square_sample().truth_fields
+        bad = replace(truth, u_x=edited(truth.u_x, 2, np.nan))
         msgs = validate_sample(make_square_sample(truth_fields=bad))
         assert any("u_x: non-finite value at index 2" in m for m in msgs)
 
     def test_nonzero_distance_on_surface(self):
-        s = make_square_sample(distance=np.array([0.5, 0, 0, 0, 2.0, 3.0]))
+        s = make_square_sample(distance=edited(make_square_sample().distance, 0, 0.5))
         msgs = validate_sample(s)
         assert any("distance: nonzero at surface index 0" in m for m in msgs)
 
     def test_zero_distance_off_surface(self):
-        s = make_square_sample(distance=np.array([0, 0, 0, 0, 0.0, 3.0]))
+        s = make_square_sample(distance=edited(make_square_sample().distance, 8, 0.0))
         msgs = validate_sample(s)
-        assert any("distance: zero at non-surface index 4" in m for m in msgs)
+        assert any("distance: zero at non-surface index 8" in m for m in msgs)
 
     def test_surface_order_must_cover_surface_nodes(self):
-        s = make_square_sample(surface_order=np.array([0, 1, 2, 2]))
+        s = make_square_sample(surface_order=np.array([0, 1, 2, 3, 4, 5, 6, 6]))
         msgs = validate_sample(s)
         assert any("surface_order" in m for m in msgs)
 
     def test_self_intersecting_contour_flagged(self):
-        # Bowtie ordering of the square corners.
-        s = make_square_sample(surface_order=np.array([0, 1, 3, 2]))
+        # Swapping two contour nodes crosses the edges into and out of them.
+        s = make_square_sample(surface_order=np.array([0, 1, 2, 3, 4, 5, 7, 6]))
         msgs = validate_sample(s)
         assert any("not a simple closed polygon" in m for m in msgs)
 
     def test_nonzero_normal_off_surface(self):
-        s = make_square_sample(
-            normals=np.array([[-0.7071067811865476, -0.7071067811865476], [1, 0],
-                              [0, 1], [-1, 0], [0.1, 0], [0, 0]])
-        )
+        s = make_square_sample(normals=edited(make_square_sample().normals, 8, [0.1, 0]))
         msgs = validate_sample(s)
-        assert any("nonzero normal at non-surface index 4" in m for m in msgs)
+        assert any("nonzero normal at non-surface index 8" in m for m in msgs)
 
     def test_nonpositive_solver_time(self):
         s = make_square_sample(
