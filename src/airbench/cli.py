@@ -65,9 +65,8 @@ def _cmd_generate(args) -> int:
     config = decode(GenerationConfig, read_json(args.config), args.config) if args.config else GenerationConfig()
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    datasets = generate_benchmark(config, args.out)
-    for name in ("train", "test", "ood"):
-        print(f"{name}: {len(datasets[name].samples)} samples  digest {dataset_digest(Path(args.out) / name)}")
+    for name, count in generate_benchmark(config, args.out).items():
+        print(f"{name}: {count} samples  digest {dataset_digest(Path(args.out) / name)}")
     return EXIT_OK
 
 

@@ -262,6 +262,13 @@ def _check_inputs(bench_dir: Path, fixed_inference_time_s: float | None) -> None
         raise AirbenchError(f"fixed inference time must be positive and finite, got {t}")
 
 
+def _check_store(store_path: Path) -> None:
+    """Refuse, before any work, a leaderboard path that is a directory or lies under something that is not one."""
+    nearest_existing = (p for p in store_path.parents if p.exists())  # "/" or "." at the latest
+    if store_path.is_dir() or not next(nearest_existing).is_dir():
+        raise AirbenchError(f"leaderboard store cannot be written: {store_path}")
+
+
 def evaluate_benchmark(
     spec: PredictorSpec,
     bench_dir: str | Path,
@@ -345,6 +352,8 @@ def run_benchmark(
     """
     bench_dir = Path(bench_dir)
     _check_inputs(bench_dir, fixed_inference_time_s)  # here too, so that bad inputs are refused before the digests
+    if store_path is not None:
+        _check_store(Path(store_path))
 
     tmp = None
     if out_dir is None:

@@ -248,8 +248,8 @@ def _sample_csv_text(sample: Sample) -> str:
     return _csv_text(SAMPLE_CSV_HEADER, columns, _SAMPLE_ROW)
 
 
-def write_dataset(dataset: Dataset, directory: str | Path) -> None:
-    """Write a dataset in the canonical directory format.
+def write_samples(dataset: Dataset, directory: str | Path) -> None:
+    """Write each sample's CSV and sidecar under ``directory/samples``, but no manifest.
 
     Validates every invariant first and raises AirbenchError before
     touching the filesystem if anything is off.
@@ -257,19 +257,25 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> None:
     violations = validate_dataset(dataset)
     if violations:
         raise AirbenchError("; ".join(violations[:10]))
-    directory = Path(directory)
-    samples_dir = directory / "samples"
+    samples_dir = Path(directory) / "samples"
     samples_dir.mkdir(parents=True, exist_ok=True)
-
-    entries = []
     for sample in dataset.samples:
-        entry = ManifestEntry(id=sample.id, csv=f"samples/{sample.id}.csv", meta=f"samples/{sample.id}.meta.json")
-        (directory / entry.csv).write_text(_sample_csv_text(sample), encoding="utf-8")
+        (samples_dir / f"{sample.id}.csv").write_text(_sample_csv_text(sample), encoding="utf-8")
         sidecar = SampleSidecar(sample.surface_order.tolist(), tuple(sample.inlet_velocity.tolist()), sample.meta)
-        write_json(directory / entry.meta, asdict(sidecar))
-        entries.append(entry)
-    manifest = Manifest(split=dataset.split, generation_config_digest=dataset.generation_config_digest, samples=entries)
-    write_json(directory / "manifest.json", asdict(manifest))
+        write_json(samples_dir / f"{sample.id}.meta.json", asdict(sidecar))
+
+
+def write_manifest(directory: str | Path, split: Split, generation_config_digest: str, ids: list[str]) -> None:
+    """Write ``directory/manifest.json`` listing the samples `ids`, in order, as `write_samples` names their files."""
+    entries = [ManifestEntry(id=i, csv=f"samples/{i}.csv", meta=f"samples/{i}.meta.json") for i in ids]
+    manifest = Manifest(split=split, generation_config_digest=generation_config_digest, samples=entries)
+    write_json(Path(directory) / "manifest.json", asdict(manifest))
+
+
+def write_dataset(dataset: Dataset, directory: str | Path) -> None:
+    """Write a dataset in the canonical directory format: validate, write each sample, then the manifest."""
+    write_samples(dataset, directory)
+    write_manifest(directory, dataset.split, dataset.generation_config_digest, dataset.sample_ids())
 
 
 def _read_csv(path: Path, header: str) -> np.ndarray:

@@ -21,6 +21,7 @@ with d the distance to the surface, zero on the surface and decaying far away.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -28,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AirbenchError
-from .io import json_digest, write_dataset, write_json
+from .io import json_digest, write_json, write_manifest, write_samples
+from .io import write_dataset  # unused here; perfbench/layers.py patches this name
 from .model import Dataset, FieldSet, Sample, SampleMeta, Split
 
 NU_T_KAPPA = 0.41          # prefactor of the viscosity surrogate
@@ -37,6 +39,8 @@ DIST_POLY_N = 4096         # contour polygonization used for distances and chord
 DIST_SNAP_FRACTION = 1e-6  # distances below this fraction of chord collapse to 0
 SINGULARITY_TOL = 1e-12    # |dz/dzeta| below this is a mapped singularity
 INSIDE_TOL = 1e-9          # relative slack when testing "outside the cylinder"
+_PIPE_MESSAGE_BYTES = 4096  # a worker's failure message fits the pipe buffer, so its write never blocks
+_SIGKILL = 9               # fixed by POSIX; `signal` is not imported for it
 
 # Volume-node placement, all in units of the cylinder radius R.
 _VOL_FLOOR = 1e-2          # minimum radial standoff from the cylinder
@@ -529,41 +533,134 @@ def _draw_params(config: GenerationConfig, split: Split, rng: np.random.Generato
     return JoukowskiParams(mu=mu, a=a, alpha_rad=alpha, u_inf=u_inf, rho=config.rho)
 
 
+def _split_counts(config: GenerationConfig) -> dict[Split, int]:
+    return {Split.TRAIN: config.n_train, Split.TEST: config.n_test, Split.OOD_TEST: config.n_ood}
+
+
+def _sample_id(split: Split, index: int) -> str:
+    return f"{split.value}-{index:04d}"
+
+
+def _generate_sample(config: GenerationConfig, split: Split, index: int) -> Sample:
+    """The `index`-th sample of `split`, from its own seed: the same bytes whichever process makes it."""
+    sample_seed = splitmix64(splitmix64(config.seed, _SPLIT_STREAM[split]), index)
+    rng = np.random.default_rng(splitmix64(sample_seed, 0))
+    params = _draw_params(config, split, rng)
+    return sample_point_cloud(
+        params,
+        config.nodes_per_sample,
+        splitmix64(sample_seed, 1),
+        sample_id=_sample_id(split, index),
+        solver_time_s=config.solver_time_s,
+    )
+
+
 def generate_split(config: GenerationConfig, split: Split) -> Dataset:
-    """Generate one split deterministically from the master seed."""
-    stream = splitmix64(config.seed, _SPLIT_STREAM[split])
-    count = {Split.TRAIN: config.n_train, Split.TEST: config.n_test, Split.OOD_TEST: config.n_ood}[
-        split
-    ]
-    samples = []
-    for i in range(count):
-        sample_seed = splitmix64(stream, i)
-        rng = np.random.default_rng(splitmix64(sample_seed, 0))
-        params = _draw_params(config, split, rng)
-        sample = sample_point_cloud(
-            params,
-            config.nodes_per_sample,
-            splitmix64(sample_seed, 1),
-            sample_id=f"{split.value}-{i:04d}",
-            solver_time_s=config.solver_time_s,
-        )
-        samples.append(sample)
+    """Generate one split deterministically from the master seed, in memory."""
+    samples = [_generate_sample(config, split, i) for i in range(_split_counts(config)[split])]
     return Dataset(split=split, samples=samples, generation_config_digest=config.digest())
 
 
-def generate_benchmark(config: GenerationConfig, out_dir: str | Path) -> dict[str, Dataset]:
-    """Generate and write the three splits under `out_dir`.
+def _available_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _worker_exit(job, k: int, pipe: int) -> None:
+    """Run ``job(k)`` in a forked child and exit: 0 on success, else 2 for refused input, 1 for any other failure.
+
+    A failure's message goes to `pipe`. The child never returns into its
+    parent's code, whatever is raised.
+    """
+    code = 1
+    try:
+        try:
+            job(k)
+            code = 0
+        except (AirbenchError, OSError) as e:
+            code = 2
+            os.write(pipe, str(e).encode()[:_PIPE_MESSAGE_BYTES])
+        except BaseException as e:
+            os.write(pipe, f"{type(e).__name__}: {e}".encode()[:_PIPE_MESSAGE_BYTES])
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, pipe: int) -> Exception | None:
+    """Wait for the child `pid`; return its failure as an exception, or None if it exited 0."""
+    with os.fdopen(pipe, "rb") as fh:
+        message = fh.read().decode("utf-8", "replace")
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0:
+        return None
+    if code == 2:
+        return AirbenchError(message)
+    return RuntimeError(f"generation worker {pid} failed (exit status {code}): {message}")
+
+
+def _run_in_workers(job, n: int) -> None:
+    """Run ``job(0)`` in this process and ``job(1)``, ..., ``job(n - 1)`` each in a forked child.
+
+    Returns once every child has exited; then the first child failure, in
+    worker order, is raised here. If ``job(0)`` raises, the children are
+    killed and reaped before the exception propagates, so no child outlives
+    the call either way.
+    """
+    children: list[tuple[int, int]] = []
+    try:
+        for k in range(1, n):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                _worker_exit(job, k, write_end)
+            os.close(write_end)
+            children.append((pid, read_end))
+        job(0)
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, _SIGKILL)
+        for pid, read_end in children:
+            _reap(pid, read_end)
+        raise
+    failures = [_reap(pid, read_end) for pid, read_end in children]
+    for failure in failures:
+        if failure is not None:
+            raise failure
+
+
+def generate_benchmark(config: GenerationConfig, out_dir: str | Path) -> dict[str, int]:
+    """Generate and write the three splits under `out_dir`; return the sample count per split name.
 
     Layout: ``out_dir/{train,test,ood}`` in the dataset directory format,
-    plus a copy of the generation config. Returns the in-memory datasets
-    keyed by split name.
+    plus a copy of the generation config. The samples of all three splits
+    are dealt round-robin to one worker per CPU this process may run on (this
+    process and forked children); each worker generates, checks and writes
+    its own samples, one at a time, so the bytes do not depend on the number
+    of workers. Each split's old manifest is removed first, and the manifests
+    and the config are written only after every worker has succeeded, so a
+    failed call leaves no split that reads as complete.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    counts = _split_counts(config)
+    for split in counts:
+        (out_dir / split.value / "manifest.json").unlink(missing_ok=True)
+    digest = config.digest()
+    work = [(split, i) for split, n in counts.items() for i in range(n)]
+    n_workers = min(_available_cpus(), len(work))
+
+    def write_share(k: int) -> None:
+        for split, i in work[k::n_workers]:
+            sample = _generate_sample(config, split, i)
+            write_samples(Dataset(split, [sample], digest), out_dir / split.value)
+
+    _run_in_workers(write_share, n_workers)
+    for split, n in counts.items():
+        write_manifest(out_dir / split.value, split, digest, [_sample_id(split, i) for i in range(n)])
     write_json(out_dir / "generation_config.json", asdict(config))
-    datasets = {}
-    for split in (Split.TRAIN, Split.TEST, Split.OOD_TEST):
-        ds = generate_split(config, split)
-        write_dataset(ds, out_dir / split.value)
-        datasets[split.value] = ds
-    return datasets
+    return {split.value: n for split, n in counts.items()}

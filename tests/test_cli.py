@@ -413,6 +413,24 @@ def test_only_a_knn_fit_loads_scipy(tmp_path):
     assert proc.stdout.split() == ["False", "True"]
 
 
+# Runs generate, then prints which process-pool modules are loaded.
+_POOL_SCRIPT = """
+import contextlib, sys
+from airbench.cli import main
+with contextlib.redirect_stdout(sys.stderr):
+    assert main(["generate", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print([name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules])
+"""
+
+
+def test_generate_loads_no_process_pool_module(tmp_path):
+    config = tmp_path / "gen.json"
+    config.write_text(json.dumps(asdict(TINY_CONFIG)))
+    proc = _python("-c", _POOL_SCRIPT, str(config), str(tmp_path / "bench"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
 class TestPredict:
     """`airbench predict` runs a builtin through the external file protocol."""
 
@@ -622,6 +640,17 @@ def test_malformed_input_is_validation_error(bench, tmp_path, capsys, case):
     rc = main(MALFORMED[case](bench, tmp_path))
     assert rc == 2
     assert capsys.readouterr().err.startswith("airbench: ")
+
+
+@pytest.mark.parametrize("store", ["F/lb.jsonl", "F/sub/lb.jsonl", "."])
+def test_an_unwritable_store_is_refused_before_any_work(bench, tmp_path, capsys, store):
+    (tmp_path / "F").write_text("")
+    out = tmp_path / "out"
+    rc = main(["run", "--predictor", "knn:3", "--bench", str(bench), "--out", str(out),
+               "--store", str(tmp_path / store)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"airbench: leaderboard store cannot be written: {tmp_path / store}\n"
+    assert [name for name in ("pred", "metrics.json", "score_report.json", "report.txt") if (out / name).exists()] == []
 
 
 def test_unknown_flag_is_named_and_help_exits_zero(bench, tmp_path, capsys):

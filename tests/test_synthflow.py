@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from airbench.cli import main
 from airbench.errors import AirbenchError
-from airbench.io import decode
+from airbench.io import decode, read_dataset
 from airbench.model import Split, validate_sample
 from airbench.synthflow import (
     GenerationConfig,
@@ -418,7 +423,9 @@ class TestGenerateBenchmark:
             n_train=4, n_test=3, n_ood=5, nodes_per_sample=64, seed=21,
             u_inf_range=(30.0, 50.0), u_inf_range_ood=(55.0, 75.0),
         )
-        datasets = generate_benchmark(cfg, tmp_path / "bench")
+        counts = generate_benchmark(cfg, tmp_path / "bench")
+        assert counts == {"train": 4, "test": 3, "ood": 5}
+        datasets = {name: read_dataset(tmp_path / "bench" / name) for name in counts}
         assert [len(datasets[k].samples) for k in ("train", "test", "ood")] == [4, 3, 5]
         lo, hi = cfg.u_inf_range
         for s in datasets["ood"].samples:
@@ -459,3 +466,82 @@ class TestGenerateBenchmark:
         ds = generate_split(TINY_CONFIG, Split.TRAIN)
         for s in ds.samples:
             assert s.meta.chord == pytest.approx(1.0, rel=1e-12)
+
+
+def _first_sample_of_each_share(cfg: GenerationConfig) -> list[tuple[str, str]]:
+    """(split, sample id) of the first sample each worker of `generate_benchmark` writes, by its dealing rule."""
+    work = [(split, f"{split}-{i:04d}") for split, n in (("train", cfg.n_train), ("test", cfg.n_test),
+                                                        ("ood", cfg.n_ood)) for i in range(n)]
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return work[:min(workers, len(work))]
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestGenerationWorkers:
+    """`generate_benchmark` deals the samples to one forked worker per available CPU."""
+
+    CONFIG = GenerationConfig(n_train=3, n_test=2, n_ood=4, nodes_per_sample=64, seed=8)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
+    def test_bytes_do_not_depend_on_the_cpu_count(self, tmp_path):
+        config = tmp_path / "gen.json"
+        config.write_text(json.dumps(asdict(self.CONFIG)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+        cpu = min(os.sched_getaffinity(0))
+        outputs = {}
+        for name, preexec in (("one", lambda: os.sched_setaffinity(0, {cpu})), ("all", None)):
+            out = tmp_path / name
+            proc = subprocess.run(
+                [sys.executable, "-m", "airbench.cli", "generate", "--config", str(config), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=600, preexec_fn=preexec,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs[name] = (proc.stdout, _tree(out))
+        assert outputs["one"] == outputs["all"]
+        assert len(outputs["all"][1]) == 1 + 3 + 2 * (3 + 2 + 4)  # config, manifests, CSV and sidecar per sample
+
+    @pytest.mark.parametrize("older_bench", [False, True])
+    def test_a_failed_worker_leaves_no_manifest(self, tmp_path, capsys, older_bench):
+        out = tmp_path / "bench"
+        if older_bench:
+            generate_benchmark(self.CONFIG, out)
+        blocked = []
+        for split, sample_id in _first_sample_of_each_share(self.CONFIG):
+            path = out / split / "samples" / f"{sample_id}.csv"
+            path.unlink(missing_ok=True)
+            path.mkdir(parents=True)
+            blocked.append(str(path))
+        capsys.readouterr()
+        config = tmp_path / "gen.json"
+        config.write_text(json.dumps(asdict(self.CONFIG)))
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("airbench: ") and any(path in err for path in blocked), err
+        assert [split for split in ("train", "test", "ood") if (out / split / "manifest.json").exists()] == []
+        _assert_no_child_left()
+        assert main(["run", "--predictor", "oracle", "--bench", str(out), "--store", str(tmp_path / "lb.jsonl")]) == 2
+        assert "missing the 'train' split" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blocked_share", ["none", "this process", "a forked worker"])
+    def test_no_worker_outlives_the_call(self, tmp_path, blocked_share):
+        firsts = _first_sample_of_each_share(self.CONFIG)
+        if blocked_share == "a forked worker" and len(firsts) < 2:
+            pytest.skip("one CPU available: no worker is forked")
+        out = tmp_path / "bench"
+        if blocked_share != "none":
+            split, sample_id = firsts[0 if blocked_share == "this process" else 1]
+            (out / split / "samples" / f"{sample_id}.csv").mkdir(parents=True)
+            with pytest.raises((AirbenchError, OSError), match=sample_id):
+                generate_benchmark(self.CONFIG, out)
+        else:
+            assert generate_benchmark(self.CONFIG, out) == {"train": 3, "test": 2, "ood": 4}
+        _assert_no_child_left()
