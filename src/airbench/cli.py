@@ -29,12 +29,10 @@ from .harness import (
     resolve_store_path,
     run_benchmark,
     run_inference,
-    score_metrics,
 )
 from .io import RunMetrics, dataset_digest, decode, read_dataset, read_json, write_json
 from .metrics import evaluate_split  # unused here; perfbench/layers.py patches this name
-from .scoring import ScoreReport, ScoringConfig, default_scoring_config
-from .scoring import score_from_values  # unused here; perfbench/layers.py patches this name
+from .scoring import ScoreReport, ScoringConfig, default_scoring_config, score_from_values
 from .synthflow import GenerationConfig, generate_benchmark
 
 EXIT_OK = 0
@@ -86,7 +84,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_score(args) -> int:
     metrics = decode(RunMetrics, read_json(args.metrics), args.metrics)
-    report = score_metrics(metrics, _scoring_config(args.config))
+    report = score_from_values(metrics, _scoring_config(args.config))
     if args.out:
         write_json(args.out, dataclasses.asdict(report))
     print(render_report(report), end="")

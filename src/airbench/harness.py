@@ -46,7 +46,6 @@ from .scoring import (
     ScoreReport,
     ScoringConfig,
     compute_speedup,
-    criterion_values_from_metrics,
     rejected_report,
     score_from_values,
 )
@@ -159,17 +158,21 @@ def run_inference(
 
     `dataset` is the split read from `dataset_dir`; an external predictor is
     handed the directory, a builtin's `predict` function (from
-    `run_training`) the samples. External: the timer brackets the whole
-    process invocation, and the prediction files it leaves are read back and
-    verified. Builtin: the timer brackets the prediction loop only; the
-    predictions' shapes are then checked in memory and the files written,
-    and the in-memory predictions are returned, which hold the same bits as
-    the files. Returns the measured seconds and the verified predictions.
+    `run_training`) the samples. External: the split's expected prediction
+    files are removed first, so none from an earlier run is read as this
+    one's; the timer brackets the whole process invocation, and the files it
+    leaves are read back and verified. Builtin: the timer brackets the
+    prediction loop only; the predictions' shapes are then checked in memory
+    and the files written, and the in-memory predictions are returned, which
+    hold the same bits as the files. Returns the measured seconds and the
+    verified predictions.
     """
     pred_dir = Path(pred_dir)
     pred_dir.mkdir(parents=True, exist_ok=True)
 
     if spec.command is not None:
+        for sample in dataset.samples:
+            (pred_dir / f"{sample.id}.csv").unlink(missing_ok=True)
         t0 = clock()
         status, stderr = _run_command(spec.command + [str(dataset_dir), str(pred_dir)], spec.working_dir)
         elapsed = clock() - t0
@@ -282,7 +285,8 @@ def evaluate_benchmark(
 
     Each scored split is read once, and the training split at most once (a
     builtin whose fit does not use it never reads it); predictions go to
-    ``out_dir/pred/<split>``.
+    ``out_dir/pred/<split>``. An earlier run's ``out_dir/metrics.json`` is
+    removed first, so a rejected or failed run leaves none.
     `fixed_inference_time_s` substitutes a deterministic stub time for each
     split's measured one. Training runs against the config's budget.
     Returns the rejection reason and None if training was rejected, else
@@ -292,6 +296,7 @@ def evaluate_benchmark(
     bench_dir = Path(bench_dir)
     out_dir = Path(out_dir)
     _check_inputs(bench_dir, fixed_inference_time_s)
+    (out_dir / "metrics.json").unlink(missing_ok=True)
     predict, rejection = run_training(spec, bench_dir / "train", config.training_budget_s, clock=clock)
     if rejection is not None:
         return rejection, None
@@ -314,25 +319,6 @@ def evaluate_benchmark(
     return None, RunMetrics(**split_metrics)
 
 
-def score_metrics(metrics: RunMetrics, config: ScoringConfig) -> ScoreReport:
-    """Score the test and OOD metrics.
-
-    ML and physics criteria come from the test split, OOD criteria from the
-    OOD split. Each speed-up is the split's total reference solver time over
-    its inference time.
-    """
-    test, ood = metrics.test, metrics.ood
-    test_values = criterion_values_from_metrics(test)
-    return score_from_values(
-        ml_values=test_values,
-        ood_values=criterion_values_from_metrics(ood),
-        physics_values=test_values,
-        speedup_ml=compute_speedup(test.total_solver_time_s, test.total_inference_time_s),
-        speedup_ood=compute_speedup(ood.total_solver_time_s, ood.total_inference_time_s),
-        config=config,
-    )
-
-
 def run_benchmark(
     spec: PredictorSpec,
     bench_dir: str | Path,
@@ -343,7 +329,7 @@ def run_benchmark(
     include_timestamp: bool = True,
     clock=time.perf_counter,
 ) -> tuple[ScoreReport, LeaderboardEntry]:
-    """Full pipeline: `evaluate_benchmark`, then `score_metrics`, then record.
+    """Full pipeline: `evaluate_benchmark`, then `score_from_values`, then record.
 
     Writes ``metrics.json`` (unless training was rejected),
     ``score_report.json`` and ``report.txt`` to `out_dir` (a temporary
@@ -371,7 +357,7 @@ def run_benchmark(
         if rejection is not None:
             report = rejected_report(rejection)
         else:
-            report = score_metrics(metrics, config)
+            report = score_from_values(metrics=metrics, config=config)
             write_json(out_dir / "metrics.json", asdict(metrics))
         entry = LeaderboardEntry(
             label=spec.label,

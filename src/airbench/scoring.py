@@ -20,10 +20,9 @@ from dataclasses import asdict, dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
 from importlib import resources
-from typing import Mapping
 
 from .errors import AirbenchError
-from .io import decode, json_digest, read_json
+from .io import RunMetrics, decode, json_digest, read_json
 from .metrics import ML_CRITERIA, FieldCriterion, SplitMetrics
 
 PHYSICS_CRITERIA = ("C_D", "C_L", "rho_D", "rho_L")
@@ -211,18 +210,18 @@ def default_scoring_config() -> ScoringConfig:
 
 def build_category(
     name: str,
-    values: Mapping[str, float],
+    split: SplitMetrics,
     config: ScoringConfig,
     speedup: float | None = None,
 ) -> CategoryResult:
-    """Classify one category's raw values in its criterion order, then score them.
+    """Classify one category's criteria, read from `split`, in their order, then score them.
 
-    `values` holds a value for each of the category's criteria, as the
-    values of a decoded `RunMetrics` do. Accuracy is the points fraction of
-    the classes. With a speed-up, the category score blends accuracy and
-    speed by the configured weights; without one (the physics category) it
-    is the accuracy fraction alone.
+    Accuracy is the points fraction of the classes. With a speed-up, the
+    category score blends accuracy and speed by the configured weights;
+    without one (the physics category) it is the accuracy fraction alone.
     """
+    values = {**split.field_errors, "C_D": split.c_d_rel_err, "C_L": split.c_l_rel_err,
+              "rho_D": split.spearman_d, "rho_L": split.spearman_l}
     thresholds = config.thresholds[name]
     criteria = []
     for criterion in CATEGORIES[name]:
@@ -259,18 +258,20 @@ def rejected_report(reason: str) -> ScoreReport:
     return ScoreReport(**empty, global_score=0.0, rejected=True, rejection_reason=reason)
 
 
-def score_from_values(
-    ml_values: Mapping[str, float],
-    ood_values: Mapping[str, float],
-    physics_values: Mapping[str, float],
-    speedup_ml: float,
-    speedup_ood: float,
-    config: ScoringConfig,
-) -> ScoreReport:
-    """Full scoring pipeline from raw criterion values and speed-ups."""
-    ml = build_category("ml", ml_values, config, speedup_ml)
-    ood = build_category("ood", ood_values, config, speedup_ood)
-    physics = build_category("physics", physics_values, config)
+def score_from_values(metrics: RunMetrics, config: ScoringConfig) -> ScoreReport:
+    """Score one run's raw metrics.
+
+    ML and physics criteria come from the test split, OOD criteria from the
+    OOD split. Each speed-up is the split's total reference solver time over
+    its inference time.
+    """
+    speedup_ml, speedup_ood = (
+        compute_speedup(split.total_solver_time_s, split.total_inference_time_s)
+        for split in (metrics.test, metrics.ood)
+    )
+    ml = build_category("ml", metrics.test, config, speedup_ml)
+    ood = build_category("ood", metrics.ood, config, speedup_ood)
+    physics = build_category("physics", metrics.test, config)
     return ScoreReport(
         ml=ml,
         ood=ood,
@@ -279,14 +280,3 @@ def score_from_values(
         rejected=False,
         rejection_reason=None,
     )
-
-
-def criterion_values_from_metrics(metrics: SplitMetrics) -> dict[str, float]:
-    """Every criterion value in a split's raw metrics, by criterion name."""
-    return {
-        **metrics.field_errors,
-        "C_D": metrics.c_d_rel_err,
-        "C_L": metrics.c_l_rel_err,
-        "rho_D": metrics.spearman_d,
-        "rho_L": metrics.spearman_l,
-    }

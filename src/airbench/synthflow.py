@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -641,15 +642,18 @@ def generate_benchmark(config: GenerationConfig, out_dir: str | Path) -> dict[st
     are dealt round-robin to one worker per CPU this process may run on (this
     process and forked children); each worker generates, checks and writes
     its own samples, one at a time, so the bytes do not depend on the number
-    of workers. Each split's old manifest is removed first, and the manifests
-    and the config are written only after every worker has succeeded, so a
-    failed call leaves no split that reads as complete.
+    of workers. Each split's old manifest and samples are removed first, and
+    the manifests and the config are written only after every worker has
+    succeeded, so a failed call leaves no split that reads as complete.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = _split_counts(config)
     for split in counts:
         (out_dir / split.value / "manifest.json").unlink(missing_ok=True)
+        samples = out_dir / split.value / "samples"
+        if samples.exists():
+            shutil.rmtree(samples)
     digest = config.digest()
     work = [(split, i) for split, n in counts.items() for i in range(n)]
     n_workers = min(_available_cpus(), len(work))

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from airbench.io import RunMetrics
+from airbench.metrics import ML_CRITERIA, SplitMetrics
 from airbench.model import FieldSet, Sample, Split
 from airbench.synthflow import (
     GenerationConfig,
@@ -32,6 +37,15 @@ TINY_CONFIG = GenerationConfig(
     nodes_per_sample=96,
     seed=11,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def checkout_on_subprocess_path():
+    """Subprocesses that run airbench (`python -m airbench.cli`, an external predictor) import this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture(scope="session")
@@ -79,3 +93,26 @@ def with_contour_nodes(sample: Sample, k: int) -> Sample:
 
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def run_metrics(
+    ml: dict[str, float], ood: dict[str, float], physics: dict[str, float], speedup_ml: float, speedup_ood: float,
+) -> RunMetrics:
+    """The raw metrics that score as these criterion values and speed-ups.
+
+    The test split holds the `ml` field errors and the `physics` values, the
+    OOD split the `ood` values. Each split's inference time is 1.0 and its
+    solver time the wanted speed-up, so `compute_speedup` returns that
+    speed-up exactly.
+    """
+
+    def split(field_errors, values, speedup):
+        return SplitMetrics(
+            field_errors={name: field_errors[name] for name in ML_CRITERIA},
+            c_d_rel_err=values["C_D"], c_l_rel_err=values["C_L"],
+            spearman_d=values["rho_D"], spearman_l=values["rho_L"],
+            spearman_d_degenerate=False, spearman_l_degenerate=False,
+            total_inference_time_s=1.0, total_solver_time_s=speedup,
+        )
+
+    return RunMetrics(test=split(ml, physics, speedup_ml), ood=split(ood, ood, speedup_ood))

@@ -19,7 +19,7 @@ from airbench.metrics import force_coefficients, spearman_with_flag
 from airbench.scoring import classify, combine_global, default_scoring_config, score_from_values
 from airbench.synthflow import JoukowskiParams, chord_length, circulation_kutta, sample_point_cloud
 
-from conftest import TOY_CONFIG
+from conftest import TOY_CONFIG, run_metrics
 
 SOLVER_TOTAL = TOY_CONFIG.n_test * TOY_CONFIG.solver_time_s
 
@@ -58,7 +58,7 @@ def _pass(n: int, message: str) -> None:
 
 def test_criterion_1_golden_score_reproduction():
     config = default_scoring_config()
-    report = score_from_values(REFERENCE_ML, REFERENCE_OOD, REFERENCE_PHYSICS, 750.0, 750.0, config)
+    report = score_from_values(run_metrics(REFERENCE_ML, REFERENCE_OOD, REFERENCE_PHYSICS, 750.0, 750.0), config)
     assert report.ml.score == pytest.approx(0.405, abs=5e-4)
     assert report.ood.score == pytest.approx(0.305, abs=5e-4)
     assert report.physics.score == pytest.approx(0.25, abs=5e-4)
@@ -75,7 +75,7 @@ def test_criterion_2_reference_solver_score():
     ml = {k: 0.0 for k in REFERENCE_ML}
     ood = dict({k: 0.0 for k in REFERENCE_OOD}, rho_D=1.0, rho_L=1.0)
     ph = {"C_D": 0.0, "C_L": 0.0, "rho_D": 1.0, "rho_L": 1.0}
-    report = score_from_values(ml, ood, ph, 1.0, 1.0, config)
+    report = score_from_values(run_metrics(ml, ood, ph, 1.0, 1.0), config)
     assert report.ml.score == 0.75
     assert report.ood.score == 0.75
     assert report.physics.score == 1.0

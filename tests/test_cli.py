@@ -6,7 +6,6 @@ import functools
 import hashlib
 import json
 import operator
-import os
 import reprlib
 import shlex
 import shutil
@@ -17,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-import airbench
 from airbench import baselines, harness
 from airbench.cli import main
 from airbench.errors import AirbenchError, FormatError
@@ -27,7 +25,6 @@ from airbench.harness import (
     append_leaderboard_entry,
     leaderboard_list,
     run_benchmark,
-    score_metrics,
 )
 from airbench.io import (
     Manifest,
@@ -40,7 +37,7 @@ from airbench.io import (
     write_json,
 )
 from airbench.metrics import SplitMetrics
-from airbench.scoring import ML_CRITERIA, ScoreReport, default_scoring_config
+from airbench.scoring import ML_CRITERIA, ScoreReport, default_scoring_config, score_from_values
 from airbench.synthflow import GenerationConfig, generate_benchmark
 
 from conftest import TINY_CONFIG
@@ -215,6 +212,33 @@ class TestCli:
         assert "fixed inference time must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "metrics.json").exists()
         assert not (tmp_path / "out" / "pred").exists()
+
+    def test_an_external_predictor_is_not_scored_on_an_earlier_runs_files(self, bench, tmp_path, capsys):
+        common = ["--bench", str(bench), "--out", str(tmp_path / "out"), "--store", str(tmp_path / "lb.jsonl"),
+                  "--fixed-time", "1"]
+        external = shlex.join([sys.executable, "-m", "airbench.cli", "predict", "oracle"])
+        assert main(["run", "--predictor", external, *common]) == 0
+        other = tmp_path / "out" / "pred" / "test" / "notes.txt"
+        other.write_text("kept\n")
+        capsys.readouterr()
+        assert main(["run", "--predictor", "true", "--label", "nothing", *common]) == 2
+        ids = [s.id for s in read_dataset(bench / "test").samples]
+        assert capsys.readouterr().err == f"airbench: missing prediction files for sample ids: {ids}\n"
+        assert len((tmp_path / "lb.jsonl").read_text().splitlines()) == 1
+        assert other.read_text() == "kept\n"  # only the files the split expects are removed
+
+    @pytest.mark.parametrize("verb", ["evaluate", "run"])
+    def test_a_rejected_run_leaves_no_earlier_metrics(self, bench, tmp_path, capsys, verb):
+        config = tmp_path / "scoring.json"
+        write_json(config, asdict(replace(default_scoring_config(), training_budget_s=1e-9)))
+        store = ["--store", str(tmp_path / "lb.jsonl")] if verb == "run" else []
+        common = [verb, "--bench", str(bench), "--out", str(tmp_path / "out"), *store]
+        assert main([*common, "--predictor", "oracle", "--fixed-time", "1"]) == 0
+        assert (tmp_path / "out" / "metrics.json").exists()
+        assert main([*common, "--predictor", "knn:3", "--config", str(config)]) == 4
+        assert not (tmp_path / "out" / "metrics.json").exists()
+        if verb == "run":
+            assert read_json(tmp_path / "out" / "score_report.json")["rejected"] is True
 
     @pytest.mark.parametrize("verb", ["evaluate", "run"])
     def test_fixed_time_whose_speedup_overflows_is_refused(self, bench, tmp_path, capsys, verb):
@@ -400,11 +424,8 @@ print("scipy" in sys.modules)
 
 
 def _python(*argv) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter with this checkout's src/ first on its path."""
-    env = dict(os.environ)
-    src = str(Path(airbench.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=600)
+    """Run a fresh interpreter; a conftest fixture puts this checkout's src/ first on its path."""
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=600)
 
 
 def test_only_a_knn_fit_loads_scipy(tmp_path):
@@ -487,7 +508,7 @@ def _metrics_doc() -> dict:
 def _report_doc() -> dict:
     """The ``score_report.json`` object that scoring `_metrics_doc` gives."""
     split = SplitMetrics(**_metrics_doc()["test"])
-    return asdict(score_metrics(RunMetrics(test=split, ood=split), default_scoring_config()))
+    return asdict(score_from_values(RunMetrics(test=split, ood=split), default_scoring_config()))
 
 
 def _metrics_with(edit):

@@ -29,7 +29,7 @@ from airbench.model import FieldSet
 from airbench.scoring import default_scoring_config, score_from_values
 from airbench.synthflow import generate_benchmark
 
-from conftest import TINY_CONFIG
+from conftest import TINY_CONFIG, run_metrics
 
 
 @pytest.fixture(scope="module")
@@ -343,7 +343,7 @@ def _table_report():
     ood = {"u_x": 0.322766, "u_y": 0.199635, "p": 0.333169, "nu_t": 0.431288, "p_s": 0.805426,
            "C_D": 21.793367, "C_L": 0.711271, "rho_D": -0.043979, "rho_L": 0.917206}
     ph = {"C_D": 16.345740, "C_L": 0.365903, "rho_D": -0.043079, "rho_L": 0.957070}
-    return score_from_values(ml, ood, ph, 750.0, 750.0, default_scoring_config())
+    return score_from_values(run_metrics(ml, ood, ph, 750.0, 750.0), default_scoring_config())
 
 
 class TestRenderReport:
@@ -356,7 +356,7 @@ class TestRenderReport:
         ml = {k: 0.0 for k in ("u_x", "u_y", "p", "nu_t", "p_s")}
         ood = dict({k: 0.0 for k in ml}, C_D=0.0, C_L=0.0, rho_D=1.0, rho_L=1.0)
         ph = {"C_D": 0.0, "C_L": 0.0, "rho_D": 1.0, "rho_L": 1.0}
-        report = score_from_values(ml, ood, ph, 10000.0, 10000.0, default_scoring_config())
+        report = score_from_values(run_metrics(ml, ood, ph, 10000.0, 10000.0), default_scoring_config())
         text = render_report(report)
         assert "100.0%" in text
         markers = [ln for ln in text.splitlines() if "markers:" in ln]

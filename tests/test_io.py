@@ -8,12 +8,10 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import airbench
 from airbench import io
 from airbench.errors import AirbenchError, FormatError
 from airbench.harness import LeaderboardEntry
@@ -41,7 +39,7 @@ from airbench.scoring import (
 )
 from airbench.synthflow import GenerationConfig, generate_split
 
-from conftest import TINY_CONFIG, with_contour_nodes
+from conftest import TINY_CONFIG, run_metrics, with_contour_nodes
 
 # Digest of the canonical serialization of the default-counts train split at
 # reduced resolution. The generator's arithmetic does not depend on numpy's
@@ -156,14 +154,12 @@ def test_pinned_digest_of_default_count_train_split(tmp_path):
     len(_dispatch_settings()) < 2, reason="this CPU offers fewer than two numpy dispatch levels"
 )
 def test_pinned_digest_holds_across_simd_dispatch_levels(tmp_path):
-    src = str(Path(airbench.__file__).resolve().parents[1])
     config = json.dumps(asdict(PINNED_TRAIN_DIGEST_CONFIG))
     bench_config = json.dumps(asdict(TINY_CONFIG))
     train_digests, metrics_digests = {}, {}
     for i, disabled in enumerate(_dispatch_settings()):
         env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
         env.pop("NPY_ENABLE_CPU_FEATURES", None)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         work = tmp_path / f"setting{i}"
         work.mkdir()
         proc = subprocess.run(
@@ -337,7 +333,7 @@ def _nan_report():
     ml = {"u_x": float("nan"), "u_y": 0.14, "p": 0.19, "nu_t": 0.28, "p_s": 0.43}
     ood = dict(ml, u_x=0.32, C_D=21.8, C_L=0.71, rho_D=-0.04, rho_L=0.92)
     ph = {"C_D": 16.3, "C_L": 0.37, "rho_D": -0.04, "rho_L": 0.96}
-    return score_from_values(ml, ood, ph, 750.0, 750.0, default_scoring_config())
+    return score_from_values(run_metrics(ml, ood, ph, 750.0, 750.0), default_scoring_config())
 
 
 def _split_metrics():

@@ -11,7 +11,6 @@ import pytest
 
 from airbench import scoring
 from airbench.errors import AirbenchError
-from airbench.harness import score_metrics
 from airbench.io import RunMetrics, decode, read_json, write_json
 from airbench.metrics import SplitMetrics
 from airbench.scoring import (
@@ -33,6 +32,8 @@ from airbench.scoring import (
     score_from_values,
     speed_score,
 )
+
+from conftest import run_metrics
 
 G, A, U = Classification.GREAT, Classification.ACCEPTABLE, Classification.UNACCEPTABLE
 
@@ -159,7 +160,7 @@ class TestSpeedScore:
                 total_inference_time_s=inference_time_s, total_solver_time_s=3.0,
             )
             with pytest.raises(AirbenchError, match="inference time must be positive"):
-                score_metrics(RunMetrics(test=split, ood=split), default_scoring_config())
+                score_from_values(RunMetrics(test=split, ood=split), default_scoring_config())
 
 
 class TestComputeSpeedup:
@@ -231,7 +232,7 @@ def _counts(category):
 class TestScoreFromValues:
     def test_reference_pipeline(self):
         ml, ood, ph = _table_values()
-        report = score_from_values(ml, ood, ph, 750.0, 750.0, default_scoring_config())
+        report = score_from_values(run_metrics(ml, ood, ph, 750.0, 750.0), default_scoring_config())
         assert report.ml.score == pytest.approx(0.405, abs=5e-4)
         assert report.ood.score == pytest.approx(0.305, abs=5e-4)
         assert report.physics.score == 0.25
@@ -250,7 +251,7 @@ class TestScoreFromValues:
     def test_nan_metric_is_scored_not_raised(self):
         ml, ood, ph = _table_values()
         ml = dict(ml, u_x=float("nan"))
-        report = score_from_values(ml, ood, ph, 750.0, 750.0, default_scoring_config())
+        report = score_from_values(run_metrics(ml, ood, ph, 750.0, 750.0), default_scoring_config())
         assert report.ml.criteria[0].classification is U
         assert report.ml.criteria[0].non_finite
 
@@ -279,7 +280,7 @@ class TestScoreFromValues:
         for _ in range(20):
             ml, ood, ph = random_values(ML_CRITERIA), random_values(OOD_CRITERIA), random_values(PHYSICS_CRITERIA)
             sp = float(rng.uniform(0.5, 20000))
-            base = score_from_values(ml, ood, ph, sp, sp, cfg).global_score
+            base = score_from_values(run_metrics(ml, ood, ph, sp, sp), cfg).global_score
             for cat, names in (("ml", ML_CRITERIA), ("ood", OOD_CRITERIA), ("ph", PHYSICS_CRITERIA)):
                 for name in names:
                     m, o, p = dict(ml), dict(ood), dict(ph)
@@ -289,14 +290,14 @@ class TestScoreFromValues:
                         o = improved(o, name)
                     else:
                         p = improved(p, name)
-                    better = score_from_values(m, o, p, sp, sp, cfg).global_score
+                    better = score_from_values(run_metrics(m, o, p, sp, sp), cfg).global_score
                     assert better >= base - 1e-12
 
     def test_monotone_in_speedup(self):
         cfg = default_scoring_config()
         ml, ood, ph = _table_values()
         scores = [
-            score_from_values(ml, ood, ph, sp, sp, cfg).global_score
+            score_from_values(run_metrics(ml, ood, ph, sp, sp), cfg).global_score
             for sp in (0.5, 1.0, 10.0, 750.0, 10000.0, 50000.0)
         ]
         assert scores == sorted(scores)
@@ -308,7 +309,7 @@ class TestScoreFromValues:
             ml = {n: float(rng.uniform(-5, 25)) for n in ML_CRITERIA}
             ood = {n: float(rng.uniform(-5, 25)) for n in OOD_CRITERIA}
             ph = {n: float(rng.uniform(-5, 25)) for n in PHYSICS_CRITERIA}
-            rep = score_from_values(ml, ood, ph, float(rng.uniform(0.1, 1e6)), 1.0, cfg)
+            rep = score_from_values(run_metrics(ml, ood, ph, float(rng.uniform(0.1, 1e6)), 1.0), cfg)
             for s in (rep.ml.score, rep.ood.score, rep.physics.score, rep.global_score):
                 assert 0.0 <= s <= 1.0
 
@@ -362,7 +363,7 @@ class TestScoringConfig:
 
     def test_report_dict_roundtrip(self):
         ml, ood, ph = _table_values()
-        report = score_from_values(ml, ood, ph, 750.0, 750.0, default_scoring_config())
+        report = score_from_values(run_metrics(ml, ood, ph, 750.0, 750.0), default_scoring_config())
         back = decode(ScoreReport, json.loads(json.dumps(asdict(report))), "report")
         assert back == report
         assert back.ml.criteria[0].classification is report.ml.criteria[0].classification
@@ -373,7 +374,7 @@ class TestScoringConfig:
             report = rejected_report("training budget exceeded (2 s)")
         else:
             ml, ood, ph = _table_values()
-            report = score_from_values(dict(ml, u_x=float("nan")), ood, ph, 750.0, 750.0,
+            report = score_from_values(run_metrics(dict(ml, u_x=float("nan")), ood, ph, 750.0, 750.0),
                                        default_scoring_config())
         write_json(tmp_path / "a.json", asdict(report))
         back = decode(ScoreReport, read_json(tmp_path / "a.json"), tmp_path / "a.json")

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from airbench import synthflow
 from airbench.cli import main
 from airbench.errors import AirbenchError
 from airbench.io import decode, read_dataset
@@ -462,6 +463,14 @@ class TestGenerateBenchmark:
         assert generate_split(base, Split.TRAIN).samples == generate_split(shifted, Split.TRAIN).samples
         assert generate_split(base, Split.OOD_TEST).samples != generate_split(shifted, Split.OOD_TEST).samples
 
+    def test_an_existing_bench_is_replaced(self, tmp_path):
+        # A smaller bench over a larger one leaves the tree a fresh generate writes: no stale sample stays.
+        smaller = GenerationConfig(n_train=1, n_test=1, n_ood=2, nodes_per_sample=64, seed=8)
+        generate_benchmark(GenerationConfig(n_train=1, n_test=1, n_ood=4, nodes_per_sample=64, seed=9), tmp_path / "out")
+        generate_benchmark(smaller, tmp_path / "out")
+        generate_benchmark(smaller, tmp_path / "fresh")
+        assert _tree(tmp_path / "out") == _tree(tmp_path / "fresh")
+
     def test_normalized_chord(self):
         ds = generate_split(TINY_CONFIG, Split.TRAIN)
         for s in ds.samples:
@@ -474,6 +483,23 @@ def _first_sample_of_each_share(cfg: GenerationConfig) -> list[tuple[str, str]]:
                                                         ("ood", cfg.n_ood)) for i in range(n)]
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     return work[:min(workers, len(work))]
+
+
+def _block_at_write(monkeypatch, paths: set[Path]) -> None:
+    """Make each of `paths` a directory just before `generate_benchmark` writes its sample there, so that write fails.
+
+    A block made before the call would go with the split's old samples, which
+    the call removes first. Forked workers inherit the patch.
+    """
+    real = synthflow.write_samples
+
+    def write_samples(dataset, directory):
+        path = Path(directory) / "samples" / f"{dataset.samples[0].id}.csv"
+        if path in paths:
+            path.mkdir(parents=True)
+        real(dataset, directory)
+
+    monkeypatch.setattr(synthflow, "write_samples", write_samples)
 
 
 def _tree(root: Path) -> dict[str, bytes]:
@@ -494,15 +520,13 @@ class TestGenerationWorkers:
     def test_bytes_do_not_depend_on_the_cpu_count(self, tmp_path):
         config = tmp_path / "gen.json"
         config.write_text(json.dumps(asdict(self.CONFIG)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-            str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
         cpu = min(os.sched_getaffinity(0))
         outputs = {}
         for name, preexec in (("one", lambda: os.sched_setaffinity(0, {cpu})), ("all", None)):
             out = tmp_path / name
             proc = subprocess.run(
                 [sys.executable, "-m", "airbench.cli", "generate", "--config", str(config), "--out", str(out)],
-                env=env, capture_output=True, text=True, timeout=600, preexec_fn=preexec,
+                capture_output=True, text=True, timeout=600, preexec_fn=preexec,
             )
             assert proc.returncode == 0, proc.stderr
             outputs[name] = (proc.stdout, _tree(out))
@@ -510,36 +534,33 @@ class TestGenerationWorkers:
         assert len(outputs["all"][1]) == 1 + 3 + 2 * (3 + 2 + 4)  # config, manifests, CSV and sidecar per sample
 
     @pytest.mark.parametrize("older_bench", [False, True])
-    def test_a_failed_worker_leaves_no_manifest(self, tmp_path, capsys, older_bench):
+    def test_a_failed_worker_leaves_no_manifest(self, tmp_path, capsys, monkeypatch, older_bench):
         out = tmp_path / "bench"
         if older_bench:
             generate_benchmark(self.CONFIG, out)
-        blocked = []
-        for split, sample_id in _first_sample_of_each_share(self.CONFIG):
-            path = out / split / "samples" / f"{sample_id}.csv"
-            path.unlink(missing_ok=True)
-            path.mkdir(parents=True)
-            blocked.append(str(path))
+        blocked = [out / split / "samples" / f"{sample_id}.csv"
+                   for split, sample_id in _first_sample_of_each_share(self.CONFIG)]
+        _block_at_write(monkeypatch, set(blocked))
         capsys.readouterr()
         config = tmp_path / "gen.json"
         config.write_text(json.dumps(asdict(self.CONFIG)))
         assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("airbench: ") and any(path in err for path in blocked), err
+        assert err.startswith("airbench: ") and any(str(path) in err for path in blocked), err
         assert [split for split in ("train", "test", "ood") if (out / split / "manifest.json").exists()] == []
         _assert_no_child_left()
         assert main(["run", "--predictor", "oracle", "--bench", str(out), "--store", str(tmp_path / "lb.jsonl")]) == 2
         assert "missing the 'train' split" in capsys.readouterr().err
 
     @pytest.mark.parametrize("blocked_share", ["none", "this process", "a forked worker"])
-    def test_no_worker_outlives_the_call(self, tmp_path, blocked_share):
+    def test_no_worker_outlives_the_call(self, tmp_path, monkeypatch, blocked_share):
         firsts = _first_sample_of_each_share(self.CONFIG)
         if blocked_share == "a forked worker" and len(firsts) < 2:
             pytest.skip("one CPU available: no worker is forked")
         out = tmp_path / "bench"
         if blocked_share != "none":
             split, sample_id = firsts[0 if blocked_share == "this process" else 1]
-            (out / split / "samples" / f"{sample_id}.csv").mkdir(parents=True)
+            _block_at_write(monkeypatch, {out / split / "samples" / f"{sample_id}.csv"})
             with pytest.raises((AirbenchError, OSError), match=sample_id):
                 generate_benchmark(self.CONFIG, out)
         else:
