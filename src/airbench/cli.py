@@ -69,16 +69,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    out = Path(args.out)
-    rejection, metrics = evaluate_benchmark(
-        _predictor_spec(args), args.bench, _scoring_config(args.config), out,
+    report = evaluate_benchmark(
+        _predictor_spec(args), args.bench, _scoring_config(args.config), args.out,
         fixed_inference_time_s=args.fixed_time,
     )
-    if rejection is not None:
-        print(f"rejected: {rejection}", file=sys.stderr)
+    if report.rejected:
+        print(f"rejected: {report.rejection_reason}", file=sys.stderr)
         return EXIT_REJECTED
-    write_json(out / "metrics.json", dataclasses.asdict(metrics))
-    print(f"wrote {out / 'metrics.json'}")
+    print(f"wrote {Path(args.out) / 'metrics.json'}")
     return EXIT_OK
 
 

@@ -1,5 +1,8 @@
 """End-to-end benchmark runs: train, time inference, evaluate, score, record.
 
+`evaluate_benchmark` is the one pipeline of the ``evaluate`` and ``run`` verbs;
+`run_benchmark` adds the reports and the leaderboard entry.
+
 External predictors follow a file protocol: the harness invokes
 ``command <dataset_dir> <pred_dir>`` and expects one prediction CSV per
 sample, which it reads back and scores. The wall-clock timer covers the full
@@ -36,19 +39,14 @@ from .io import (
     dataset_digest,
     decode,
     read_dataset,
+    read_manifest,
     read_predictions,
     write_json,
     write_predictions,
 )
-from .metrics import SplitMetrics, evaluate_split, total_solver_time_s
+from .metrics import compute_speedup, evaluate_split, total_solver_time_s
 from .model import Dataset, Prediction
-from .scoring import (
-    ScoreReport,
-    ScoringConfig,
-    compute_speedup,
-    rejected_report,
-    score_from_values,
-)
+from .scoring import ScoreReport, ScoringConfig, rejected_report, score_from_values
 
 logger = logging.getLogger(__name__)
 
@@ -158,21 +156,19 @@ def run_inference(
 
     `dataset` is the split read from `dataset_dir`; an external predictor is
     handed the directory, a builtin's `predict` function (from
-    `run_training`) the samples. External: the split's expected prediction
-    files are removed first, so none from an earlier run is read as this
-    one's; the timer brackets the whole process invocation, and the files it
-    leaves are read back and verified. Builtin: the timer brackets the
-    prediction loop only; the predictions' shapes are then checked in memory
-    and the files written, and the in-memory predictions are returned, which
-    hold the same bits as the files. Returns the measured seconds and the
-    verified predictions.
+    `run_training`) the samples. External: the timer brackets the whole
+    process invocation, and the files it leaves are read back and verified;
+    any file an earlier run left in `pred_dir` is taken as this one's, so
+    `evaluate_benchmark` removes them before training. Builtin: the timer
+    brackets the prediction loop only; the predictions' shapes are then
+    checked in memory and the files written, and the in-memory predictions
+    are returned, which hold the same bits as the files. Returns the
+    measured seconds and the verified predictions.
     """
     pred_dir = Path(pred_dir)
     pred_dir.mkdir(parents=True, exist_ok=True)
 
     if spec.command is not None:
-        for sample in dataset.samples:
-            (pred_dir / f"{sample.id}.csv").unlink(missing_ok=True)
         t0 = clock()
         status, stderr = _run_command(spec.command + [str(dataset_dir), str(pred_dir)], spec.working_dir)
         elapsed = clock() - t0
@@ -280,28 +276,31 @@ def evaluate_benchmark(
     *,
     fixed_inference_time_s: float | None,
     clock=time.perf_counter,
-) -> tuple[str | None, RunMetrics | None]:
-    """Train, then run inference on the test and OOD splits and evaluate them.
+) -> ScoreReport:
+    """Run the pipeline of ``evaluate`` and ``run``, and return the score report.
 
-    Each scored split is read once, and the training split at most once (a
-    builtin whose fit does not use it never reads it); predictions go to
-    ``out_dir/pred/<split>``. An earlier run's ``out_dir/metrics.json`` is
-    removed first, so a rejected or failed run leaves none.
-    `fixed_inference_time_s` substitutes a deterministic stub time for each
-    split's measured one. Training runs against the config's budget.
-    Returns the rejection reason and None if training was rejected, else
-    None and the metrics. A speed-up that scoring would refuse is refused
-    here; with a fixed time, before the split's inference.
+    In order: check the inputs; remove an earlier ``out_dir/metrics.json``
+    and every ``out_dir/pred/<split>/<id>.csv`` that the test and OOD
+    manifests name, so a rejected or failed run leaves none of them; train
+    against the config's budget (a rejection returns `rejected_report`);
+    read each scored split, predict it into ``out_dir/pred/<split>`` and
+    evaluate it, one split at a time; score; and only then write
+    ``out_dir/metrics.json``. `fixed_inference_time_s` substitutes a
+    deterministic stub time for each split's measured one, and its speed-up
+    is checked before the split's inference.
     """
     bench_dir = Path(bench_dir)
     out_dir = Path(out_dir)
     _check_inputs(bench_dir, fixed_inference_time_s)
     (out_dir / "metrics.json").unlink(missing_ok=True)
+    for name in SCORED_SPLITS:
+        for entry in read_manifest(bench_dir / name).samples:
+            (out_dir / "pred" / name / f"{entry.id}.csv").unlink(missing_ok=True)
     predict, rejection = run_training(spec, bench_dir / "train", config.training_budget_s, clock=clock)
     if rejection is not None:
-        return rejection, None
+        return rejected_report(rejection)
 
-    split_metrics: dict[str, SplitMetrics] = {}
+    split_metrics = {}
     for name in SCORED_SPLITS:
         split_dir = bench_dir / name
         dataset = read_dataset(split_dir)
@@ -312,11 +311,11 @@ def evaluate_benchmark(
             predict=predict, clock=clock,
         )
         used = elapsed if fixed_inference_time_s is None else float(fixed_inference_time_s)
-        metrics = evaluate_split(dataset, predictions, config.field_criteria, total_inference_time_s=used)
-        if fixed_inference_time_s is None:
-            compute_speedup(metrics.total_solver_time_s, used)
-        split_metrics[name] = metrics
-    return None, RunMetrics(**split_metrics)
+        split_metrics[name] = evaluate_split(dataset, predictions, config.field_criteria, total_inference_time_s=used)
+    metrics = RunMetrics(**split_metrics)
+    report = score_from_values(metrics=metrics, config=config)
+    write_json(out_dir / "metrics.json", asdict(metrics))
+    return report
 
 
 def run_benchmark(
@@ -329,36 +328,26 @@ def run_benchmark(
     include_timestamp: bool = True,
     clock=time.perf_counter,
 ) -> tuple[ScoreReport, LeaderboardEntry]:
-    """Full pipeline: `evaluate_benchmark`, then `score_from_values`, then record.
+    """Full pipeline: `evaluate_benchmark`, then the reports and the leaderboard entry.
 
-    Writes ``metrics.json`` (unless training was rejected),
-    ``score_report.json`` and ``report.txt`` to `out_dir` (a temporary
-    directory when None). When `store_path` is given the resulting entry is
-    appended there.
+    Writes ``score_report.json`` and ``report.txt`` to `out_dir` (a
+    temporary directory when None) beside what `evaluate_benchmark` writes.
+    When `store_path` is given the resulting entry is appended there.
     """
     bench_dir = Path(bench_dir)
     _check_inputs(bench_dir, fixed_inference_time_s)  # here too, so that bad inputs are refused before the digests
     if store_path is not None:
         _check_store(Path(store_path))
 
-    tmp = None
-    if out_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="airbench-run-")
-        out_dir = Path(tmp.name)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    try:
+    with (tempfile.TemporaryDirectory(prefix="airbench-run-") if out_dir is None
+          else contextlib.nullcontext(out_dir)) as out:
+        out_dir = Path(out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         digests = {name: dataset_digest(bench_dir / name) for name in ("train", *SCORED_SPLITS)}
-        rejection, metrics = evaluate_benchmark(
+        report = evaluate_benchmark(
             spec, bench_dir, config, out_dir,
             fixed_inference_time_s=fixed_inference_time_s, clock=clock,
         )
-        if rejection is not None:
-            report = rejected_report(rejection)
-        else:
-            report = score_from_values(metrics=metrics, config=config)
-            write_json(out_dir / "metrics.json", asdict(metrics))
         entry = LeaderboardEntry(
             label=spec.label,
             timestamp=_timestamp(include_timestamp),
@@ -380,10 +369,7 @@ def run_benchmark(
         (out_dir / "report.txt").write_text(render_report(report, label=spec.label), encoding="utf-8")
         if store_path is not None:
             append_leaderboard_entry(store_path, entry)
-        return report, entry
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
+    return report, entry
 
 
 _CATEGORY_TITLES = ("ML-related", "OOD generalization", "Physics")

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AirbenchError, FormatError
-from .metrics import ML_CRITERIA, SplitMetrics
+from .metrics import ML_CRITERIA, SplitMetrics, compute_speedup
 from .model import (
     Dataset,
     FieldSet,
@@ -227,9 +227,14 @@ class RunMetrics:
 
     def __post_init__(self):
         for split in ("test", "ood"):
-            names = sorted(getattr(self, split).field_errors)
+            metrics = getattr(self, split)
+            names = sorted(metrics.field_errors)
             if names != sorted(ML_CRITERIA):
                 raise FormatError(f"{split}.field_errors: expected the keys {sorted(ML_CRITERIA)}, got {names}")
+            try:
+                compute_speedup(metrics.total_solver_time_s, metrics.total_inference_time_s)
+            except AirbenchError as e:
+                raise FormatError(f"{split}: {e}") from None
 
 
 def _sample_csv_text(sample: Sample) -> str:
@@ -292,6 +297,12 @@ def _read_csv(path: Path, header: str) -> np.ndarray:
             raise FormatError(f"{path}: {e}") from None
 
 
+def read_manifest(directory: str | Path) -> Manifest:
+    """Decode ``directory/manifest.json``; a missing or malformed one raises FormatError naming it."""
+    path = Path(directory) / "manifest.json"
+    return decode(Manifest, read_json(path), path)
+
+
 def read_dataset(directory: str | Path) -> Dataset:
     """Read a dataset directory; the result satisfies every type invariant.
 
@@ -299,8 +310,7 @@ def read_dataset(directory: str | Path) -> Dataset:
     naming the directory, the sample id and the field for a violated invariant.
     """
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    manifest = decode(Manifest, read_json(manifest_path), manifest_path)
+    manifest = read_manifest(directory)
     samples = []
     for entry in manifest.samples:
         csv_path, meta_path = directory / entry.csv, directory / entry.meta
@@ -379,10 +389,9 @@ def read_predictions(pred_dir: str | Path, dataset: Dataset) -> list[Prediction]
 def dataset_digest(directory: str | Path) -> str:
     """SHA-256 over the manifest and all sample files, in manifest order."""
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
     h = hashlib.sha256()
-    h.update(_read_bytes(manifest_path))
-    for entry in decode(Manifest, read_json(manifest_path), manifest_path).samples:
+    h.update(_read_bytes(directory / "manifest.json"))
+    for entry in read_manifest(directory).samples:
         h.update(_read_bytes(directory / entry.csv))
         h.update(_read_bytes(directory / entry.meta))
     return h.hexdigest()

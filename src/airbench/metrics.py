@@ -155,6 +155,18 @@ def total_solver_time_s(dataset: Dataset) -> float:
     return float(sum(s.meta.solver_time_s for s in sorted(dataset.samples, key=lambda s: s.id)))
 
 
+def compute_speedup(solver_time_s: float, inference_time_s: float) -> float:
+    """Reference solver time over surrogate inference time; both, and their ratio, positive and finite."""
+    if not (solver_time_s > 0 and math.isfinite(solver_time_s)):
+        raise AirbenchError(f"solver time must be positive, got {solver_time_s}")
+    if not (inference_time_s > 0 and math.isfinite(inference_time_s)):
+        raise AirbenchError(f"inference time must be positive, got {inference_time_s}")
+    speedup = solver_time_s / inference_time_s
+    if not (speedup > 0 and math.isfinite(speedup)):
+        raise AirbenchError(f"speed-up must be positive and finite, got {solver_time_s} / {inference_time_s}")
+    return speedup
+
+
 def evaluate_split(
     dataset: Dataset,
     predictions: list[Prediction],

@@ -23,7 +23,7 @@ from importlib import resources
 
 from .errors import AirbenchError
 from .io import RunMetrics, decode, json_digest, read_json
-from .metrics import ML_CRITERIA, FieldCriterion, SplitMetrics
+from .metrics import ML_CRITERIA, FieldCriterion, SplitMetrics, compute_speedup
 
 PHYSICS_CRITERIA = ("C_D", "C_L", "rho_D", "rho_L")
 OOD_CRITERIA = ML_CRITERIA + PHYSICS_CRITERIA
@@ -87,18 +87,6 @@ def accuracy_score(n_great: int, n_acceptable: int, n_unacceptable: int) -> floa
     """Points fraction (2*Ng + 1*No + 0*Nr) / (2*N) of a non-empty criterion set."""
     n = n_great + n_acceptable + n_unacceptable
     return (2 * n_great + n_acceptable) / (2 * n)
-
-
-def compute_speedup(solver_time_s: float, inference_time_s: float) -> float:
-    """Reference solver time over surrogate inference time; both, and their ratio, positive and finite."""
-    if not (solver_time_s > 0 and math.isfinite(solver_time_s)):
-        raise AirbenchError(f"solver time must be positive, got {solver_time_s}")
-    if not (inference_time_s > 0 and math.isfinite(inference_time_s)):
-        raise AirbenchError(f"inference time must be positive, got {inference_time_s}")
-    speedup = solver_time_s / inference_time_s
-    if not (speedup > 0 and math.isfinite(speedup)):
-        raise AirbenchError(f"speed-up must be positive and finite, got {solver_time_s} / {inference_time_s}")
-    return speedup
 
 
 def speed_score(speedup: float, speedup_max: float) -> float:

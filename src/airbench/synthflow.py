@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import os
 import shutil
+import signal
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -41,7 +42,6 @@ DIST_SNAP_FRACTION = 1e-6  # distances below this fraction of chord collapse to 
 SINGULARITY_TOL = 1e-12    # |dz/dzeta| below this is a mapped singularity
 INSIDE_TOL = 1e-9          # relative slack when testing "outside the cylinder"
 _PIPE_MESSAGE_BYTES = 4096  # a worker's failure message fits the pipe buffer, so its write never blocks
-_SIGKILL = 9               # fixed by POSIX; `signal` is not imported for it
 
 # Volume-node placement, all in units of the cylinder radius R.
 _VOL_FLOOR = 1e-2          # minimum radial standoff from the cylinder
@@ -624,7 +624,7 @@ def _run_in_workers(job, n: int) -> None:
         job(0)
     except BaseException:
         for pid, _ in children:
-            os.kill(pid, _SIGKILL)
+            os.kill(pid, signal.SIGKILL)
         for pid, read_end in children:
             _reap(pid, read_end)
         raise

@@ -227,18 +227,38 @@ class TestCli:
         assert len((tmp_path / "lb.jsonl").read_text().splitlines()) == 1
         assert other.read_text() == "kept\n"  # only the files the split expects are removed
 
+    @staticmethod
+    def _expected_predictions(bench, out):
+        return [out / "pred" / name / f"{s.id}.csv" for name in ("test", "ood") for s in read_dataset(bench / name).samples]
+
     @pytest.mark.parametrize("verb", ["evaluate", "run"])
     def test_a_rejected_run_leaves_no_earlier_metrics(self, bench, tmp_path, capsys, verb):
         config = tmp_path / "scoring.json"
         write_json(config, asdict(replace(default_scoring_config(), training_budget_s=1e-9)))
         store = ["--store", str(tmp_path / "lb.jsonl")] if verb == "run" else []
-        common = [verb, "--bench", str(bench), "--out", str(tmp_path / "out"), *store]
+        out = tmp_path / "out"
+        common = [verb, "--bench", str(bench), "--out", str(out), *store]
         assert main([*common, "--predictor", "oracle", "--fixed-time", "1"]) == 0
-        assert (tmp_path / "out" / "metrics.json").exists()
+        assert (out / "metrics.json").exists()
+        assert all(p.exists() for p in self._expected_predictions(bench, out))
+        (out / "pred" / "test" / "notes.txt").write_text("kept\n")
         assert main([*common, "--predictor", "knn:3", "--config", str(config)]) == 4
-        assert not (tmp_path / "out" / "metrics.json").exists()
+        assert not (out / "metrics.json").exists()
+        assert [p for p in self._expected_predictions(bench, out) if p.exists()] == []
+        assert (out / "pred" / "test" / "notes.txt").read_text() == "kept\n"
         if verb == "run":
-            assert read_json(tmp_path / "out" / "score_report.json")["rejected"] is True
+            assert read_json(out / "score_report.json")["rejected"] is True
+
+    @pytest.mark.parametrize("verb", ["evaluate", "run"])
+    def test_a_failed_external_predictor_leaves_no_earlier_predictions(self, bench, tmp_path, capsys, verb):
+        store = ["--store", str(tmp_path / "lb.jsonl")] if verb == "run" else []
+        out = tmp_path / "out"
+        common = [verb, "--bench", str(bench), "--out", str(out), "--fixed-time", "1", *store]
+        assert main([*common, "--predictor", "oracle"]) == 0
+        assert main([*common, "--predictor", "false"]) == 3
+        assert "airbench: predictor failure: predictor exited with status 1" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+        assert [p for p in self._expected_predictions(bench, out) if p.exists()] == []
 
     @pytest.mark.parametrize("verb", ["evaluate", "run"])
     def test_fixed_time_whose_speedup_overflows_is_refused(self, bench, tmp_path, capsys, verb):
@@ -693,6 +713,15 @@ def test_score_refuses_field_errors_other_than_the_ml_criteria(tmp_path, capsys,
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         f"airbench: {tmp_path / 'm.json'}: test.field_errors: expected the keys {sorted(ML_CRITERIA)}, got [{got}]\n"
+    )
+
+
+@pytest.mark.parametrize("split", ["test", "ood"])
+def test_score_names_the_file_and_split_of_a_refused_speedup(tmp_path, capsys, split):
+    argv = _metrics_with(lambda doc: doc[split].update(total_inference_time_s=0))(None, tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"airbench: {tmp_path / 'm.json'}: {split}: inference time must be positive, got 0.0\n"
     )
 
 

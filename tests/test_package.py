@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import re
 import types
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import airbench
+from airbench.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,3 +45,10 @@ def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "runs" / "knn" / "score_report.json").exists()
     assert len((tmp_path / "leaderboard.jsonl").read_text(encoding="utf-8").splitlines()) == 1
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_cli_verbs_table_has_a_row_per_verb():
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## CLI verbs", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \|", section, re.M)
+    (verbs,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(rows) == sorted(verbs)

@@ -147,8 +147,8 @@ class TestSpeedScore:
         assert speed_score(0.5, 10000.0) == 0.0
 
     def test_invalid_speedup(self, monkeypatch):
-        # speed_score takes a positive, finite speed-up; scoring a metrics record refuses the
-        # times that would give an infinite or a negative one in compute_speedup, before speed_score.
+        # speed_score takes a positive, finite speed-up; a metrics record refuses the times that
+        # would give an infinite or a negative one in compute_speedup, so scoring never reaches it.
         def refuse(speedup, speedup_max):
             raise AssertionError(f"speed_score called with {speedup}")
 
